@@ -28,11 +28,13 @@ from repro.net.faults import (
     RobustnessStats,
 )
 from repro.net.soap import (
+    FeedHeader,
     parse_envelope,
     soap_envelope,
     soap_fault,
     unwrap_document,
     unwrap_fragment_feed,
+    verify_feed_message,
     verify_fragment_feed,
     wrap_document,
     wrap_fragment_feed,
@@ -70,4 +72,6 @@ __all__ = [
     "wrap_document",
     "unwrap_document",
     "verify_fragment_feed",
+    "verify_feed_message",
+    "FeedHeader",
 ]

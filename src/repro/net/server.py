@@ -8,7 +8,7 @@ stands that up on real sockets:
   :class:`~repro.net.transport.TcpTransport` ships to: a threaded
   socket server reading length-prefixed SOAP envelopes, verifying each
   fragment feed's declared row count and Adler-32 content checksum
-  (:func:`~repro.net.soap.verify_fragment_feed`), and replying with an
+  (:func:`~repro.net.soap.verify_feed_message`), and replying with an
   ``Ack`` envelope — or a SOAP ``Fault`` when verification rejects the
   message.
 * :class:`ExchangeHttpServer` — the control plane: a threaded HTTP
@@ -50,14 +50,15 @@ from repro.core.program.serialize import (
     program_to_json,
 )
 from repro.net.soap import (
+    is_fragment_feed,
     parse_envelope,
     soap_envelope,
     soap_fault,
     unwrap_fragment_feed,
-    verify_fragment_feed,
+    verify_feed_message,
     wrap_fragment_feed,
 )
-from repro.net.transport import recv_frame, send_frame
+from repro.net.transport import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.xmlkit.tree import Element
@@ -218,8 +219,7 @@ class FeedSink:
         with self.tracer.span("serve message", "server",
                               bytes=len(frame)):
             try:
-                payload = parse_envelope(frame.decode("utf-8"))
-                return self._ack(payload)
+                return self._ack(frame.decode("utf-8"))
             except SoapFault as fault:
                 self._count("server.faults")
                 return soap_fault(str(fault))
@@ -227,29 +227,29 @@ class FeedSink:
                 self._count("server.faults")
                 return soap_fault(f"unreadable message: {exc}")
 
-    def _ack(self, payload: Element) -> str:
-        kind = payload.local_name()
-        if kind == "FragmentFeed":
-            name, count, digest = verify_fragment_feed(payload)
+    def _ack(self, text: str) -> str:
+        if is_fragment_feed(text):
+            header, count, digest = verify_feed_message(text)
             attrs = {
                 "of": "FragmentFeed",
-                "fragment": name,
+                "fragment": header.fragment,
                 "count": str(count),
                 "checksum": digest,
             }
-            seq = payload.get("seq")
-            if seq is not None:
-                attrs["seq"] = seq
+            if header.seq is not None:
+                attrs["seq"] = str(header.seq)
             self._count("server.feeds")
             self._count("server.rows_in", count)
             return soap_envelope(Element("Ack", attrs))
-        if kind == "Document":
-            self._count("server.documents")
-            return soap_envelope(Element("Ack", {
-                "of": "Document",
-                "bytes": str(len(payload.text)),
-            }))
-        raise SoapFault(f"feed sink cannot serve a <{payload.name}>")
+        payload = parse_envelope(text)
+        if payload.local_name() != "Document":
+            # Includes a FragmentFeed that is not in the wire form.
+            raise SoapFault(f"feed sink cannot serve a <{payload.name}>")
+        self._count("server.documents")
+        return soap_envelope(Element("Ack", {
+            "of": "Document",
+            "bytes": str(len(payload.text)),
+        }))
 
 
 # -- the SOAP-over-HTTP control plane ------------------------------------------------
@@ -265,10 +265,23 @@ class _SoapHttpHandler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        declared = self.headers.get("Content-Length")
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(declared)
+        except (TypeError, ValueError):
+            length = -1
+        if not 0 <= length <= MAX_FRAME_BYTES:
+            # The body's extent is unknown: reply without reading it,
+            # and close the connection it would otherwise desync.
+            self.close_connection = True
+            self._reply(400, soap_fault(
+                f"Content-Length must be an integer from 0 to "
+                f"{MAX_FRAME_BYTES}, got {declared!r}"
+            ))
+            return
+        try:
             body = self.rfile.read(length).decode("utf-8")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except UnicodeDecodeError as exc:
             self._reply(400, soap_fault(f"unreadable request: {exc}"))
             return
         status, reply = self.server.exchange.dispatch(self.path, body)  # type: ignore[attr-defined]
@@ -279,6 +292,8 @@ class _SoapHttpHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", 'text/xml; charset="utf-8"')
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -363,14 +378,19 @@ class ExchangeHttpServer:
     def dispatch(self, path: str, body: str) -> tuple[int, str]:
         """Serve one SOAP request; returns ``(status, reply text)``."""
         self._count("server.http.requests")
+        # Feed uploads are scanned by the feed codec, never parsed into
+        # a tree; every other request is a small envelope.
+        upload = path == "/soap/feeds" and is_fragment_feed(body)
         try:
-            payload = parse_envelope(body)
+            payload = None if upload else parse_envelope(body)
         except SoapFault as fault:
             self._count("server.http.faults")
             return 400, soap_fault(str(fault))
-        with self.tracer.span(f"http {path}", "server",
-                              action=payload.local_name()):
+        action = "FragmentFeed" if upload else payload.local_name()
+        with self.tracer.span(f"http {path}", "server", action=action):
             try:
+                if upload:
+                    return 200, self._upload_feed(body)
                 if path == "/soap/agency":
                     return 200, self._serve_agency(payload)
                 if path == "/soap/feeds":
@@ -490,18 +510,18 @@ class ExchangeHttpServer:
             ))
         raise SoapFault(f"agency cannot serve a <{payload.name}>")
 
+    def _upload_feed(self, body: str) -> str:
+        header, count, digest = verify_feed_message(body)
+        with self._feeds_lock:
+            self._feeds[header.fragment] = body
+        self._count("server.http.feeds_uploaded")
+        return soap_envelope(Element("Ack", {
+            "of": "FragmentFeed", "fragment": header.fragment,
+            "count": str(count), "checksum": digest,
+        }))
+
     def _serve_feeds(self, payload: Element) -> str:
-        action = payload.local_name()
-        if action == "FragmentFeed":
-            name, count, digest = verify_fragment_feed(payload)
-            with self._feeds_lock:
-                self._feeds[name] = soap_envelope(payload)
-            self._count("server.http.feeds_uploaded")
-            return soap_envelope(Element("Ack", {
-                "of": "FragmentFeed", "fragment": name,
-                "count": str(count), "checksum": digest,
-            }))
-        if action == "DownloadFeed":
+        if payload.local_name() == "DownloadFeed":
             name = payload.get("fragment")
             if not name:
                 raise SoapFault("DownloadFeed names no fragment")
@@ -535,6 +555,11 @@ class SoapHttpClient:
 
     def call(self, path: str, envelope: str) -> Element:
         """POST one SOAP envelope; return the reply's body payload."""
+        # Fault replies raise here.
+        return parse_envelope(self._post(path, envelope))
+
+    def _post(self, path: str, envelope: str) -> str:
+        """POST one SOAP envelope; return the reply text."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -550,9 +575,11 @@ class SoapHttpClient:
                 f"HTTP call to {self.host}:{self.port}{path} "
                 f"failed: {exc}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise SoapFault(f"unreadable reply: {exc}") from exc
         finally:
             connection.close()
-        return parse_envelope(reply)  # Fault replies raise here
+        return reply
 
     # -- agency actions --------------------------------------------------------
 
@@ -612,10 +639,10 @@ class SoapHttpClient:
 
     def download_feed(self, fragment: Fragment) -> FragmentInstance:
         """Download the stored feed of ``fragment``."""
-        result = self.call("/soap/feeds", soap_envelope(
+        reply = self._post("/soap/feeds", soap_envelope(
             Element("DownloadFeed", {"fragment": fragment.name})
         ))
-        return unwrap_fragment_feed(soap_envelope(result), fragment)
+        return unwrap_fragment_feed(reply, fragment)  # Faults raise here
 
 
 class ExchangeServer:

@@ -31,11 +31,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import TransportError
+from repro.errors import SoapFault, TransportError
 from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import (
+    parse_envelope,
+    read_feed_header,
     unwrap_fragment_feed,
     wrap_document,
     wrap_fragment_feed,
@@ -423,16 +425,19 @@ class TcpTransport(Transport):
             pass
         self._sock.close()
 
-    def _roundtrip(self, message: str) -> Shipment:
+    def _roundtrip(self, message: str,
+                   expected: dict[str, str]) -> Shipment:
         """Send one framed SOAP message, await and verify the reply.
+
+        ``expected`` holds the attributes the receiver's ``Ack`` must
+        carry: what it verified has to be what was sent.
 
         Raises:
             TransportError: on socket failure or send-after-close.
             SoapFault: when the receiver replies with a SOAP Fault
-                (its verification rejected the message).
+                (its verification rejected the message), or with an
+                ``Ack`` that does not match ``expected``.
         """
-        from repro.net.soap import parse_envelope
-
         self._ensure_open()
         payload = message.encode("utf-8")
         started = time.perf_counter()
@@ -454,9 +459,36 @@ class TcpTransport(Transport):
             "wire", "wire", start=started, seconds=seconds,
             bytes=len(payload),
         )
+        try:
+            text = reply.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SoapFault(f"unreadable reply: {exc}") from exc
         # Raises SoapFault when the receiver rejected the message.
-        parse_envelope(reply.decode("utf-8"))
+        ack = parse_envelope(text)
+        wrong = {
+            name: ack.get(name) for name, value in expected.items()
+            if ack.get(name) != value
+        }
+        if ack.local_name() != "Ack" or wrong:
+            raise SoapFault(
+                f"receiver replied <{ack.name}> with {wrong} where "
+                f"the message sent {expected}"
+            )
         return Shipment(len(payload), seconds)
+
+    def _ship_feed(self, message: str) -> Shipment:
+        """Round-trip one feed message; its ``Ack`` must repeat the
+        fragment, row count, checksum and sequence number sent."""
+        header = read_feed_header(message)
+        expected = {
+            "of": "FragmentFeed",
+            "fragment": header.fragment,
+            "count": str(header.count),
+            "checksum": str(header.checksum),
+        }
+        if header.seq is not None:
+            expected["seq"] = str(header.seq)
+        return self._roundtrip(message, expected)
 
     def _charge(self, size_bytes: int, lost: bool = False) -> Shipment:
         """Account a transmission that never reaches the socket (the
@@ -470,7 +502,7 @@ class TcpTransport(Transport):
 
     def ship_fragment(self, instance: FragmentInstance) -> Shipment:
         message = wrap_fragment_feed(instance)
-        shipment = self._roundtrip(message)
+        shipment = self._ship_feed(message)
         received = unwrap_fragment_feed(message, instance.fragment)
         instance.rows[:] = received.rows
         return shipment
@@ -478,10 +510,10 @@ class TcpTransport(Transport):
     def ship_batch(self, batch: RowBatch) -> Shipment:
         instance = FragmentInstance(batch.fragment, batch.rows)
         message = wrap_fragment_feed(instance, seq=batch.seq)
-        shipment = self._roundtrip(message)
+        shipment = self._ship_feed(message)
         received = unwrap_fragment_feed(message, batch.fragment)
         batch.rows[:] = received.rows
         return shipment
 
     def ship_document(self, text: str) -> Shipment:
-        return self._roundtrip(wrap_document(text))
+        return self._roundtrip(wrap_document(text), {"of": "Document"})

@@ -6,6 +6,8 @@ import socket
 import pytest
 
 from repro.errors import SoapFault, TransportError
+from repro.core.fragment import Fragment
+from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.core.cost.estimates import StatisticsCatalog
 from repro.core.cost.model import CostModel
 from repro.net.faults import corrupt_soap_message
@@ -21,7 +23,7 @@ from repro.net.soap import (
     wrap_document,
     wrap_fragment_feed,
 )
-from repro.net.transport import recv_frame, send_frame
+from repro.net.transport import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.services.agency import DiscoveryAgency
 from repro.workloads.customer import fragment_customers
@@ -102,6 +104,15 @@ class TestFeedSink:
             )
         assert reply.name == "Fault"
         assert "Mystery" in reply.get("message")
+
+    def test_feed_outside_the_wire_form_gets_fault(self, feed):
+        message = wrap_fragment_feed(feed).replace(
+            "<soap:Body>", "<soap:Header/><soap:Body>"
+        )
+        with FeedSink() as sink:
+            reply = raw_call(sink, message)
+        assert reply.name == "Fault"
+        assert "cannot serve a <FragmentFeed>" in reply.get("message")
 
     def test_connection_serves_many_messages(self, feed):
         metrics = MetricsRegistry()
@@ -219,6 +230,18 @@ class TestHttpControlPlane:
             assert downloaded.row_count() == feed.row_count()
             assert sorted(r.eid for r in downloaded.rows) \
                 == sorted(r.eid for r in feed.rows)
+
+    def test_feed_outside_the_wire_form_is_fault(self, customer_agency,
+                                                  feed):
+        message = wrap_fragment_feed(feed).replace(
+            "<soap:Body>", "<soap:Header/><soap:Body>"
+        )
+        with ExchangeHttpServer(customer_agency) as http:
+            client = SoapHttpClient(http.host, http.port)
+            with pytest.raises(SoapFault, match="cannot serve"):
+                client.call("/soap/feeds", message)
+            with pytest.raises(SoapFault, match="no feed"):
+                client.download_feed(feed.fragment)
 
     def test_download_missing_feed_is_fault(self, customer_agency,
                                             feed):
@@ -444,3 +467,46 @@ class TestShardNegotiation:
                 client.negotiate(
                     "mf", "ghost", auction_schema, shards=2,
                 )
+
+
+class TestHttpBodyLength:
+    """A request whose Content-Length is missing, negative, not an
+    integer or over the frame limit gets a 400 fault without the
+    server reading (or waiting for) its body."""
+
+    @pytest.mark.parametrize("header", [
+        "Content-Length: -1\r\n",
+        "Content-Length: lots\r\n",
+        f"Content-Length: {MAX_FRAME_BYTES + 1}\r\n",
+        "",
+    ])
+    def test_bad_length_rejected_without_reading(self, customer_agency,
+                                                 header):
+        with ExchangeHttpServer(customer_agency) as http:
+            with socket.create_connection((http.host, http.port),
+                                          timeout=5) as sock:
+                sock.sendall(
+                    f"POST /soap/feeds HTTP/1.1\r\nHost: x\r\n"
+                    f"{header}\r\n".encode("ascii")
+                )
+                reply = b""
+                while chunk := sock.recv(4096):  # server closes
+                    reply += chunk
+        status, _, rest = reply.partition(b"\r\n")
+        assert b" 400 " in status
+        assert b"Content-Length must be an integer" in rest
+
+
+class TestFeedTextOverHttp:
+    def test_padded_text_survives_upload_and_download(
+            self, customer_agency, customers_schema):
+        fragment = Fragment(customers_schema, ["Order"])
+        feed = FragmentInstance(fragment, [
+            FragmentRow(ElementData("Order", 4, {}, "  spaced  "), None),
+        ])
+        with ExchangeHttpServer(customer_agency) as http:
+            client = SoapHttpClient(http.host, http.port)
+            ack = client.upload_feed(feed)
+            assert ack.get("count") == "1"
+            downloaded = client.download_feed(fragment)
+        assert downloaded.rows == feed.rows

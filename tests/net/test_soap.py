@@ -4,12 +4,16 @@ import pytest
 
 from repro.errors import SoapFault
 from repro.core.fragment import Fragment
+from repro.core.instance import ElementData, FragmentInstance, FragmentRow
 from repro.net.soap import (
+    feed_digest,
     parse_envelope,
+    read_feed_header,
     soap_envelope,
     soap_fault,
     unwrap_document,
     unwrap_fragment_feed,
+    verify_feed_message,
     verify_fragment_feed,
     wrap_document,
     wrap_fragment_feed,
@@ -17,6 +21,8 @@ from repro.net.soap import (
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
 from repro.xmlkit.writer import serialize
+
+from tests.net.feed_reference import reference_feed_message
 
 
 class TestEnvelope:
@@ -228,3 +234,169 @@ class TestVerifyFragmentFeed:
         )
         with pytest.raises(SoapFault, match="declares"):
             verify_fragment_feed(order_payload)
+
+
+def _reseal(message: str) -> str:
+    """``message`` with its checksum recomputed by the tree-based
+    reference, so a test can reach the checks behind the checksum."""
+    payload = parse_envelope(message)
+    declared = payload.get("checksum")
+    return message.replace(f'checksum="{declared}"',
+                           f'checksum="{feed_digest(payload.children)}"')
+
+
+class TestExactText:
+    """Row text crosses the wire exactly, surrounding whitespace
+    included (the tree parser strips it, so a re-serialized digest
+    reported such feeds as corrupted in flight)."""
+
+    @pytest.mark.parametrize("text", ["  padded  ", " lead", "trail\t",
+                                      "\n", "   ", " a\r\nb "])
+    def test_whitespace_text_round_trips(self, customers_schema, text):
+        fragment = Fragment(customers_schema, ["Order"])
+        instance = FragmentInstance(fragment, [
+            FragmentRow(ElementData("Order", 7, {"n": " x "}, text), 3),
+        ])
+        message = wrap_fragment_feed(instance)
+        assert unwrap_fragment_feed(message, fragment).rows \
+            == instance.rows
+        header, count, digest = verify_feed_message(message)
+        assert count == 1 and digest == header.checksum
+
+
+class TestCodecMatchesReference:
+    @pytest.fixture
+    def order_feed(self, customers_s, customer_documents):
+        return fragment_customers(customer_documents, customers_s)[
+            "Line_Feature"
+        ]
+
+    def test_wire_bytes_equal_tree_serialization(self, order_feed):
+        assert wrap_fragment_feed(order_feed, seq=3) \
+            == reference_feed_message(order_feed, seq=3)
+
+    def test_reserved_attribute_names_overwritten_in_place(
+            self, customers_schema):
+        fragment = Fragment(customers_schema, ["Order"])
+        data = ElementData("Order", 5, {"ID": "mine", "a": "1",
+                                        "_eid": "x"})
+        data.add_child(ElementData("Line", 6, {"PARENT": "p"}))
+        instance = FragmentInstance(fragment, [FragmentRow(data, 2)])
+        message = wrap_fragment_feed(instance)
+        assert message == reference_feed_message(instance)
+        received = unwrap_fragment_feed(message, fragment)
+        assert received.rows[0].data.attrs == {"a": "1"}
+        assert received.rows[0].parent == 2
+
+    def test_empty_feed(self, customers_schema):
+        fragment = Fragment(customers_schema, ["Order"])
+        instance = FragmentInstance(fragment, [])
+        message = wrap_fragment_feed(instance)
+        assert message == reference_feed_message(instance)
+        assert unwrap_fragment_feed(message, fragment).rows == []
+
+    def test_verification_agrees_with_tree_reference(self, order_feed):
+        message = wrap_fragment_feed(order_feed, seq=9)
+        header, count, digest = verify_feed_message(message)
+        assert (header.fragment, count, digest) \
+            == verify_fragment_feed(parse_envelope(message))
+        assert header == read_feed_header(message)
+        assert header.seq == 9 and header.count == count
+        assert header.checksum == digest
+
+
+class TestTypedFeedErrors:
+    """Every defect of a feed message is a SoapFault."""
+
+    @pytest.fixture
+    def order_feed(self, customers_s, customer_documents):
+        return fragment_customers(customer_documents, customers_s)[
+            "Line_Feature"
+        ]
+
+    @pytest.mark.parametrize("old,new", [
+        ('count="', 'count="x'),
+        ('checksum="', 'seq="1.5" checksum="'),
+    ])
+    def test_non_integer_header_attribute(self, order_feed, old, new):
+        message = wrap_fragment_feed(order_feed).replace(old, new, 1)
+        with pytest.raises(SoapFault, match="must be an integer"):
+            unwrap_fragment_feed(message, order_feed.fragment)
+        with pytest.raises(SoapFault, match="must be an integer"):
+            verify_feed_message(message)
+
+    @pytest.mark.parametrize("attr", ["PARENT", "_eid"])
+    def test_non_integer_key_behind_a_valid_checksum(self, order_feed,
+                                                     attr):
+        message = wrap_fragment_feed(order_feed)
+        head, _, tail = message.partition(f' {attr}="')
+        _, _, rest = tail.partition('"')
+        message = _reseal(f'{head} {attr}="1x"{rest}')
+        with pytest.raises(SoapFault, match="non-integer"):
+            unwrap_fragment_feed(message, order_feed.fragment)
+
+    def test_reference_verifier_types_a_bad_count(self, order_feed):
+        payload = parse_envelope(wrap_fragment_feed(order_feed))
+        payload.attrs["count"] = "many"
+        with pytest.raises(SoapFault, match="must be an integer"):
+            verify_fragment_feed(payload)
+
+    def test_document_bad_byte_count(self):
+        payload = Element("Document", {"bytes": "lots"}, text="tiny")
+        with pytest.raises(SoapFault, match="must be an integer"):
+            unwrap_document(payload)
+
+    def test_fault_reply_raises_its_message(self, order_feed):
+        with pytest.raises(SoapFault, match="no such feed"):
+            unwrap_fragment_feed(soap_fault("no such feed"),
+                                 order_feed.fragment)
+
+    def test_other_payload_named(self, order_feed):
+        with pytest.raises(SoapFault, match="expected a FragmentFeed"):
+            verify_feed_message(wrap_document("text"))
+
+    def test_feed_outside_the_wire_form(self, order_feed):
+        message = wrap_fragment_feed(order_feed).replace(
+            "<soap:Body>", "<soap:Header/><soap:Body>"
+        )
+        with pytest.raises(SoapFault, match="wire form"):
+            unwrap_fragment_feed(message, order_feed.fragment)
+
+    @pytest.mark.parametrize("envelope,body", [
+        ("soap", "other"), ("other", "soap"), ("", "soap"),
+    ])
+    def test_end_tags_must_match_the_head(self, order_feed, envelope,
+                                          body):
+        message = wrap_fragment_feed(order_feed)
+        closing = "</soap:Body></soap:Envelope>"
+        assert message.endswith(closing)
+        message = message[:-len(closing)] + (
+            f"</{body}:Body></{envelope}:Envelope>" if envelope
+            else f"</{body}:Body></Envelope>"
+        )
+        with pytest.raises(SoapFault, match="not closed properly"):
+            verify_feed_message(message)
+        with pytest.raises(SoapFault, match="not closed properly"):
+            unwrap_fragment_feed(message, order_feed.fragment)
+
+    def test_other_matching_prefixes_are_accepted(self, order_feed):
+        message = wrap_fragment_feed(order_feed).replace(
+            "soap:Body", "b:Body").replace("soap:Envelope", "e:Envelope")
+        received = unwrap_fragment_feed(message, order_feed.fragment)
+        assert received.rows == order_feed.rows
+
+    @pytest.mark.parametrize("cut", [-1, -30, -60])
+    def test_truncated_feed(self, order_feed, cut):
+        message = wrap_fragment_feed(order_feed)[:cut]
+        with pytest.raises(SoapFault):
+            unwrap_fragment_feed(message, order_feed.fragment)
+
+    @pytest.mark.parametrize("old,new", [
+        ("><", "> <"), ("</", "<"), ("_eid=", "_eid ="),
+    ])
+    def test_malformed_rows(self, order_feed, old, new):
+        message = wrap_fragment_feed(order_feed)
+        head, _, rows = message.partition("checksum=")
+        message = head + "checksum=" + rows.replace(old, new, 2)
+        with pytest.raises(SoapFault):
+            verify_feed_message(message)

@@ -3,26 +3,32 @@ drop-in interchangeable behind ``Transport``, with uniform lifecycle
 (idempotent close, send-after-close errors) and byte-identical
 end-to-end results — TcpTransport over a real loopback socket."""
 
+import socket
 import threading
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import SoapFault, TransportError
 from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
+from repro.core.stream import RowBatch
 from repro.core.program.builder import build_transfer_program
 from repro.net.server import FeedSink
+from repro.net.soap import read_feed_header, soap_envelope
 from repro.net.transport import (
     InProcessTransport,
     LOOPBACK_PROFILE,
     SimulatedChannel,
     TcpTransport,
     Transport,
+    recv_frame,
+    send_frame,
 )
 from repro.relational.publisher import publish_document
 from repro.services.endpoint import RelationalEndpoint
 from repro.services.exchange import run_optimized_exchange
 from repro.workloads.customer import fragment_customers
+from repro.xmlkit.tree import Element
 
 
 @pytest.fixture
@@ -161,6 +167,67 @@ class TestTcpTransport:
         transport.ship_fragment(feed)
         assert sorted(row.eid for row in feed.rows) == eids_before
         transport.close()
+
+
+class _StubSink:
+    """Replies to every frame with an ``Ack`` of the sent feed, after
+    ``tamper`` edits its attributes."""
+
+    def __init__(self, tamper):
+        self.tamper = tamper
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        with conn:
+            while (frame := recv_frame(conn)) is not None:
+                header = read_feed_header(frame.decode("utf-8"))
+                attrs = {"of": "FragmentFeed",
+                         "fragment": header.fragment,
+                         "count": str(header.count),
+                         "checksum": header.checksum}
+                if header.seq is not None:
+                    attrs["seq"] = str(header.seq)
+                self.tamper(attrs)
+                send_frame(conn, soap_envelope(
+                    Element("Ack", attrs)).encode("utf-8"))
+
+    def connect(self):
+        return TcpTransport.connect(*self.listener.getsockname()[:2])
+
+    def close(self):
+        self.listener.close()
+        self.thread.join(timeout=5)
+
+
+class TestTcpAckVerification:
+    """The sender checks that the receiver verified what was sent."""
+
+    def _ship(self, feed, tamper):
+        stub = _StubSink(tamper)
+        transport = stub.connect()
+        try:
+            transport.ship_batch(RowBatch(feed.fragment, feed.rows, 3))
+        finally:
+            transport.close()
+            stub.close()
+
+    def test_matching_ack_accepted(self, feed):
+        self._ship(feed, lambda attrs: None)
+
+    @pytest.mark.parametrize("name,value", [
+        ("checksum", "deadbeef"), ("count", "0"), ("fragment", "Other"),
+        ("seq", "4"), ("of", "Document"),
+    ])
+    def test_mismatched_ack_is_fault(self, feed, name, value):
+        with pytest.raises(SoapFault, match="receiver replied"):
+            self._ship(feed, lambda attrs: attrs.update({name: value}))
+
+    def test_ack_without_seq_is_fault(self, feed):
+        with pytest.raises(SoapFault, match="seq"):
+            self._ship(feed, lambda attrs: attrs.pop("seq"))
 
 
 class TestEndToEndInterchangeability:
