@@ -1,8 +1,9 @@
-"""Ablation — the streaming batch dataplane vs materialized transfer.
+"""Ablation — batched streaming vs one batch per edge.
 
 Sweeps ``batch_rows`` over {None, 64, 512} on the Figure 9 MF->MF
 scenario over a sleeping channel (the wall clock feels communication,
-as in the paper's Internet setup).  Materialized transfer holds whole
+as in the paper's Internet setup).  One batch per edge (``None``,
+labelled "materialized" in ``BENCH_streaming.json``) holds whole
 fragment feeds resident and serializes each edge behind its producer;
 the streaming dataplane bounds ``peak_resident_rows`` by the batch
 frontier and ships chunk *i* while chunk *i+1* is produced.  Smaller

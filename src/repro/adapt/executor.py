@@ -19,16 +19,16 @@ actually consumed, so the written target stays byte-identical to the
 static run (the differential suite asserts this with replanning forced
 at every checkpoint).
 
-Checkpoint granularity follows the dataplane:
+Checkpoint granularity follows the schedule:
 
-* **per operation** — the sequential materialized path hands the run
-  a monitor hook; every op boundary is a checkpoint and the very next
-  op already sees the re-placed suffix.
-* **per expression** — the parallel and streaming dataplanes compile
-  or schedule placement ahead of execution, so the run executes the
-  program one segment at a time — write-rooted expressions
-  (Definition 3.10), merged when they share operations — and
-  checkpoints between segments.
+* **per operation** — the sequential one-batch run (``workers=1``,
+  ``batch_rows=None``) goes op-at-a-time and hands the run a monitor
+  hook; every op boundary is a checkpoint and the very next op already
+  sees the re-placed suffix.
+* **per expression** — parallel and finitely batched runs pipeline
+  many operations at once, so the run executes the program one segment
+  at a time — write-rooted expressions (Definition 3.10), merged when
+  they share operations — and checkpoints between segments.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ class AdaptiveConfig:
     stats_store: StatisticsStore | None = None
     pair: str | None = None
     statistics: StatisticsCatalog | None = None
-    #: "op" (sequential materialized only), "expression", or "auto"
-    #: (op when the dataplane supports it, expression otherwise).
+    #: "op" (sequential one-batch runs only), "expression", or
+    #: "auto" (op when the schedule supports it, expression otherwise).
     granularity: str = "auto"
 
 
@@ -179,7 +179,6 @@ class AdaptiveRun:
                  parallel_workers: int = 1,
                  batch_rows: int | None = None,
                  columnar: bool = False,
-                 join_strategy: str | None = None,
                  retry=None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
@@ -190,8 +189,8 @@ class AdaptiveRun:
         per_op_capable = parallel_workers == 1 and batch_rows is None
         if config.granularity == "op" and not per_op_capable:
             raise ValueError(
-                "per-op granularity needs the sequential materialized "
-                "dataplane (parallel_workers=1, batch_rows=None)"
+                "per-op granularity needs the sequential one-batch "
+                "schedule (parallel_workers=1, batch_rows=None)"
             )
         self.program = program
         self.placement = dict(placement)
@@ -202,7 +201,6 @@ class AdaptiveRun:
         self.parallel_workers = parallel_workers
         self.batch_rows = batch_rows
         self.columnar = columnar
-        self.join_strategy = join_strategy
         self.retry = retry
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics
@@ -254,30 +252,16 @@ class AdaptiveRun:
             self.source, self.target, self.channel,
             batch_rows=self.batch_rows, retry=self.retry,
             tracer=self.tracer, metrics=self.metrics,
-            columnar=self.columnar, join_strategy=self.join_strategy,
+            columnar=self.columnar, workers=self.parallel_workers,
         )
 
     def _run_expressions(self) -> ExecutionReport:
         total = ExecutionReport(batch_rows=self.batch_rows)
         segments = _expression_groups(self.program)
+        executor = self._executor()
         for index, members in enumerate(segments):
             segment = _subprogram(self.program, set(members))
             snapshot = dict(self.placement)
-            if self.parallel_workers > 1:
-                from repro.core.program.parallel_executor import (
-                    ParallelProgramExecutor,
-                )
-
-                executor = ParallelProgramExecutor(
-                    self.source, self.target, self.channel,
-                    workers=self.parallel_workers,
-                    batch_rows=self.batch_rows, retry=self.retry,
-                    tracer=self.tracer, metrics=self.metrics,
-                    columnar=self.columnar,
-                    join_strategy=self.join_strategy,
-                )
-            else:
-                executor = self._executor()
             part = executor.run(segment, snapshot)
             _merge_report(total, part)
             self._observe_segment(segment, snapshot, part)

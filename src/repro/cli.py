@@ -812,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     exchange.add_argument(
         "--batch-rows", type=int, default=None,
         help="stream the DE program phase in row batches of this size "
-             "(bounded memory; default: materialized instances)",
+             "(bounded memory; default: one batch per edge)",
     )
     exchange.add_argument(
         "--columnar", action="store_true",

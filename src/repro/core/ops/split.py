@@ -64,7 +64,9 @@ class Split(Operation):
 
         Each pulled input batch is split with the instance-level
         semantics and its piece rows are queued on every piece's
-        output; pulling any piece refills from the input as needed.
+        output — as one batch per piece, even an empty one, so every
+        piece stream carries as many batches as the input; pulling any
+        piece refills from the input as needed.
         Safe to drain from concurrent threads (the parallel executor
         runs each downstream expression in its own task).
         """
@@ -124,8 +126,6 @@ class _SplitBatchState:
         if self._tick is not None:
             self._tick(time.perf_counter() - started, rows)
         for index, piece in enumerate(pieces):
-            if not piece.rows:
-                continue
             if self._meter is not None:
                 self._meter.acquire(
                     len(piece.rows), piece.estimated_size()
@@ -216,7 +216,7 @@ class _ColumnSplitState:
         started = time.perf_counter()
         in_bytes = batch.estimated_size() if self._meter else 0
         in_rows = batch.row_count()
-        out: list[ColumnBatch | None] = []
+        out: list[ColumnBatch] = []
         rows = 0
         for index, piece in enumerate(self._op.pieces):
             layout, key_column, sources = self._plans[index]
@@ -228,9 +228,6 @@ class _ColumnSplitState:
                 kept = [position for position, key in enumerate(keys)
                         if key is not None]
                 count = len(kept)
-            if count == 0:
-                out.append(None)
-                continue
             if kept is None or count == in_rows:
                 columns = [batch.column(name) for name in sources]
             else:
@@ -245,8 +242,6 @@ class _ColumnSplitState:
         if self._tick is not None:
             self._tick(time.perf_counter() - started, rows)
         for index, piece_batch in enumerate(out):
-            if piece_batch is None:
-                continue
             if self._meter is not None:
                 self._meter.acquire(piece_batch.row_count(),
                                     piece_batch.estimated_size())

@@ -1,45 +1,33 @@
 """Execute placed data-transfer programs against system endpoints.
 
-The executor walks the DAG in topological order.  ``Scan`` and ``Write``
-are delegated to the owning endpoint (each system implements its own,
-Defs. 3.6/3.9); ``Combine`` and ``Split`` run wherever their node is
-placed, and their elapsed time is attributed to that system.  When an
-edge crosses systems the value is shipped through the channel, which
-accounts bytes and simulated transfer time (Section 4.1's ``comm_cost``).
+``Scan`` and ``Write`` are delegated to the owning endpoint (each
+system implements its own, Defs. 3.6/3.9); ``Combine`` and ``Split``
+run wherever their node is placed, and their elapsed time is
+attributed to that system.  When an edge crosses systems its value is
+shipped through the channel, which accounts bytes and simulated
+transfer time (Section 4.1's ``comm_cost``).
 
-Two dataplanes share this interface.  With ``batch_rows=None`` (the
-default, the paper's setup) every edge carries a whole materialized
-:class:`~repro.core.instance.FragmentInstance`.  With ``batch_rows=N``
-the run moves :class:`~repro.core.stream.RowBatch` slices end to end
-instead (see :mod:`repro.core.program.streaming`): scans produce
-batches, combines/splits transform them, writes store them as they
-arrive, and cross-edges ship them chunked — peak resident rows are
-bounded by the batch size times the pipeline depth rather than by the
-document, while the written output stays byte-identical.
+:class:`ProgramExecutor` is the entry point; the one scheduler behind
+it is :class:`~repro.core.program.streaming.StreamingRun`.  Values move
+as :class:`~repro.core.stream.RowBatch` slices: with ``batch_rows=None``
+(the default, the paper's setup) each edge carries its whole feed as
+one batch, with ``batch_rows=N`` it carries chunks of ``N`` rows and
+peak resident rows are bounded by the batch size times the pipeline
+depth rather than by the document.  The written output is
+byte-identical either way.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
-from repro.errors import ProgramError
 from repro.core.fragment import Fragment
-from repro.core.instance import FragmentInstance
 from repro.core.ops.base import Location, Operation
-from repro.core.ops.combine import Combine
-from repro.core.ops.scan import Scan
-from repro.core.ops.split import Split
-from repro.core.ops.write import Write
 from repro.core.program.dag import Placement, TransferProgram
-from repro.core.program.journal import ExchangeJournal, write_key
-from repro.core.stream import FragmentStream, ResidencyMeter, RowBatch
-from repro.obs.metrics import (
-    MetricsRegistry,
-    observe_operation,
-    observe_shipment,
-)
+from repro.core.program.journal import ExchangeJournal
+from repro.core.stream import FragmentStream, RowBatch
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,28 +37,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DataEndpoint(Protocol):
     """What the executor needs from a system (source or target)."""
 
-    def scan(self, fragment: Fragment) -> FragmentInstance:
-        """Produce the instance of ``fragment`` (Scan, Def. 3.6)."""
-        ...
-
-    def write(self, fragment: Fragment,
-              instance: FragmentInstance) -> None:
-        """Store ``instance`` (Write, Def. 3.9)."""
-        ...
-
     def scan_stream(self, fragment: Fragment,
                     batch_rows: int) -> FragmentStream:
-        """Produce the feed of ``fragment`` as a batch stream."""
+        """Produce the feed of ``fragment`` as a batch stream
+        (Scan, Def. 3.6)."""
         ...
 
     def write_stream(self, fragment: Fragment,
                      stream: FragmentStream) -> None:
-        """Store a batch stream incrementally."""
+        """Store a batch stream (Write, Def. 3.9)."""
         ...
 
 
 class ExecutionMonitor(Protocol):
-    """Per-operation observer of a materialized sequential run.
+    """Per-operation observer of an op-at-a-time run.
 
     The executor asks the monitor where each starting operation runs
     (letting it pin the op and serve a freshly re-placed location) and
@@ -83,12 +63,13 @@ class ExecutionMonitor(Protocol):
         ...
 
     def op_finished(self, node: Operation, location: Location,
-                    seconds: float, rows: int) -> None:
+                    seconds: float, rows: int,
+                    strategy: str = "row") -> None:
         """``node`` finished; the monitor may re-place unstarted ops."""
         ...
 
     def edge_shipped(self, edge, shipment: "Shipment") -> None:
-        """A cross-edge value was shipped at consume time."""
+        """A batch crossed ``edge`` (shipped at consume time)."""
         ...
 
 
@@ -100,18 +81,14 @@ class ShippingChannel(Protocol):
     protocol; the core stays import-free of :mod:`repro.net`.
     """
 
-    def ship_fragment(self, instance: FragmentInstance) -> "Shipment":
-        """Transfer an instance source → target; return the receipt."""
-        ...
-
     def ship_batch(self, batch: RowBatch) -> "Shipment":
-        """Transfer one batch (chunked streaming); return the receipt."""
+        """Transfer one batch source → target; return the receipt."""
         ...
 
 
 @dataclass(frozen=True, slots=True)
 class Shipment:
-    """Receipt for one cross-edge transfer."""
+    """Receipt for one cross-edge message."""
 
     bytes_sent: int
     seconds: float
@@ -122,10 +99,10 @@ class OperationTiming:
     """Wall-clock timing of one executed operation.
 
     ``strategy`` names the dataplane variant that actually ran:
-    ``"row"`` for the materialized and row-batch paths, ``"columnar"``
-    for columnar scan/split/write, and ``"hash"``/``"merge"`` for the
-    two columnar join strategies of Combine — the key the cost
-    calibration uses to fit per-strategy unit costs.
+    ``"row"`` for row batches, ``"columnar"`` for columnar
+    scan/split/write, and ``"hash"``/``"merge"`` for the two columnar
+    join strategies of Combine — the key the cost calibration uses to
+    fit per-strategy unit costs.
     """
 
     label: str
@@ -141,8 +118,8 @@ class OperationTiming:
 class ExecutionReport:
     """Aggregate metrics of one program execution.
 
-    Produced identically by the sequential and the parallel executor,
-    for both dataplanes; consumers should not need to know which ran.
+    Produced by every schedule of the one executor; consumers should
+    not need to know which ran.
 
     **Time.** ``wall_seconds`` is the end-to-end wall-clock time of the
     run; sequentially it equals ``total_seconds`` up to bookkeeping
@@ -156,17 +133,17 @@ class ExecutionReport:
     accumulate in ``comm_bytes``/``comm_seconds`` and, keyed by
     producer port ``(op_id, output_index)``, in ``shipment_bytes``/
     ``shipment_seconds`` so makespan estimators can attribute
-    communication by actual volume.  Under the streaming dataplane an
-    edge ships many chunks; ``shipment_batches`` records how many per
-    edge (empty for materialized runs, where each edge is one
-    monolithic message).
+    communication by actual volume.  Every batch is one message;
+    ``shipment_batches`` records how many each edge shipped — exactly
+    one per cross-edge when ``batch_rows`` is ``None``, even for an
+    empty feed.
 
     **Peak memory.** ``peak_resident_rows``/``peak_resident_bytes``
     are the high-water marks of fragment rows resident in the
-    dataplane (instances in flight, batch frontiers, combine/split
-    buffers) as measured by :class:`~repro.core.stream.ResidencyMeter`
-    — the quantity the streaming dataplane bounds.  ``batch_rows``
-    records the knob the run used (``None`` = materialized).
+    dataplane (batches in flight, combine/split buffers) as measured
+    by :class:`~repro.core.stream.ResidencyMeter` — the quantity a
+    finite ``batch_rows`` bounds.  ``batch_rows`` records the knob the
+    run used (``None`` = one batch per edge).
 
     **Robustness** (zero on a fault-free run over a perfect channel):
     ``retries`` counts re-sends the reliable shipping layer performed
@@ -244,9 +221,6 @@ class ExecutionReport:
 class _ZeroCostChannel:
     """Accounts bytes but charges no transfer time (LAN-of-zero-latency)."""
 
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        return Shipment(instance.estimated_size(), 0.0)
-
     def ship_batch(self, batch: RowBatch) -> Shipment:
         return Shipment(batch.estimated_size(), 0.0)
 
@@ -254,10 +228,17 @@ class _ZeroCostChannel:
 class ProgramExecutor:
     """Runs a placed program against a source and a target endpoint.
 
-    ``batch_rows`` selects the dataplane: ``None`` (default) moves
-    whole materialized instances, an integer moves row batches of that
-    size through the streaming pipeline instead — same written output,
-    bounded resident rows.
+    Every run is one :class:`~repro.core.program.streaming.
+    StreamingRun`.  ``batch_rows`` sets the batch size: ``None``
+    (default, the paper's setup) moves each edge's whole feed as one
+    batch — one message per cross-edge — and an integer moves row
+    batches of that size instead: same written output, bounded resident
+    rows.  ``workers`` sets the scheduler's width: ``1`` runs
+    sequentially (op-at-a-time when ``batch_rows`` is ``None``), more
+    drive independent Writes concurrently and overlap each cross-edge's
+    shipping with its production.  The channel and both endpoints must
+    then be thread-safe (every bundled :class:`~repro.net.transport.
+    Transport` and the relational / in-memory endpoints are).
 
     ``retry`` arms the reliable shipping layer (see
     :mod:`repro.net.faults`): cross-edge sends that fail with a
@@ -278,9 +259,12 @@ class ProgramExecutor:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  columnar: bool = False,
-                 join_strategy: str | None = None) -> None:
+                 join_strategy: str | None = None,
+                 workers: int = 1) -> None:
         if batch_rows is not None and batch_rows < 1:
             raise ValueError("batch_rows must be >= 1 or None")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         if columnar and batch_rows is None:
             raise ValueError(
                 "columnar execution requires batch_rows (the columnar "
@@ -290,6 +274,7 @@ class ProgramExecutor:
         self.target = target
         self.channel: ShippingChannel = channel or _ZeroCostChannel()
         self.batch_rows = batch_rows
+        self.workers = workers
         self.retry = retry
         self.journal = journal
         self.tracer = tracer or NULL_TRACER
@@ -297,228 +282,42 @@ class ProgramExecutor:
         self.columnar = columnar
         self.join_strategy = join_strategy
 
-    def _endpoint(self, location: Location) -> DataEndpoint:
-        return self.source if location is Location.SOURCE else self.target
-
     def run(self, program: TransferProgram,
             placement: Placement | None = None,
             monitor: "ExecutionMonitor | None" = None
             ) -> ExecutionReport:
         """Execute ``program`` under ``placement`` and return metrics.
 
-        ``monitor`` (materialized dataplane only) observes the run at
-        operation granularity: it supplies each starting op's location
-        and is told about completions and shipments — the hook
-        :class:`~repro.adapt.executor.AdaptiveRun` uses to re-place
-        the not-yet-started suffix between operations.  Values ship
-        lazily at consume time against the location the monitor
-        returns, so suffix moves stay byte-identical.
+        ``monitor`` observes the run at operation granularity: the run
+        goes op-at-a-time, the monitor supplies each starting op's
+        location and is told about completions and shipments — the
+        hook :class:`~repro.adapt.executor.AdaptiveRun` uses to
+        re-place the not-yet-started suffix between operations.
 
         Raises:
             ProgramError: if the program is malformed.
             PlacementError: if the placement is illegal or incomplete.
-            ValueError: if a monitor is combined with the streaming
-                dataplane (its placement is compiled before any
-                execution — see :mod:`repro.core.program.streaming`).
         """
+        from repro.core.program.streaming import StreamingRun
+
         program.validate()
         if placement is None:
             placement = program.placement_from_nodes()
         program.validate_placement(placement)
-        if monitor is not None and self.batch_rows is not None:
-            raise ValueError(
-                "execution monitors need the materialized dataplane "
-                "(batch_rows=None); the streaming pipeline compiles "
-                "its placement before execution starts"
-            )
-
-        if self.batch_rows is not None:
-            from repro.core.program.streaming import StreamingRun
-
-            return StreamingRun(
-                program, placement, self.source, self.target,
-                self.channel, self.batch_rows,
-                retry=self.retry, journal=self.journal,
-                tracer=self.tracer, metrics=self.metrics,
-                columnar=self.columnar,
-                join_strategy=self.join_strategy,
-            ).execute_sequential()
-
-        started = time.perf_counter()
-        tracer = self.tracer
-        report = ExecutionReport()
-        if self.journal is not None:
-            report.resume_count = self.journal.begin_run()
-        channel = self.channel
-        stats = None
-        if self.retry is not None:
-            from repro.net.faults import ReliableChannel, RobustnessStats
-
-            stats = RobustnessStats()
-            channel = ReliableChannel(
-                self.channel, self.retry, stats, tracer=tracer
-            )
-        meter = ResidencyMeter()
-        # In-flight values keyed by producer port, tagged with the
-        # system currently holding them.
-        values: dict[tuple[int, int], tuple[FragmentInstance, Location]]
-        values = {}
-        consumed: set[tuple[int, int]] = set()
-
-        for node in program.topological_order():
-            if monitor is not None:
-                location = monitor.op_started(node)
-            else:
-                location = placement[node.op_id]
-            # A write acknowledged by an earlier attempt is skipped
-            # wholesale on resume: its inputs are consumed (the
-            # producers still ran — they may feed other writes) but
-            # nothing is shipped or stored again.
-            skip = (
-                self.journal is not None
-                and isinstance(node, Write)
-                and self.journal.write_done(
-                    write_key(node.op_id, node.fragment.name)
-                )
-            )
-            inputs: list[FragmentInstance] = []
-            for edge in program.in_edges(node):
-                key = (edge.producer.op_id, edge.output_index)
-                try:
-                    instance, holder = values.pop(key)
-                except KeyError as exc:
-                    if key in consumed:
-                        detail = "consumed twice"
-                    else:
-                        detail = (
-                            "was never produced (malformed edge or "
-                            "missing operation output)"
-                        )
-                    raise ProgramError(
-                        f"value for {edge.producer.label()} output "
-                        f"{edge.output_index} {detail}"
-                    ) from exc
-                consumed.add(key)
-                if holder is not location and not skip:
-                    ship_started = time.perf_counter()
-                    if stats is not None:
-                        shipment = channel.ship_fragment(
-                            instance, edge=key
-                        )
-                    else:
-                        shipment = channel.ship_fragment(instance)
-                    report.comm_bytes += shipment.bytes_sent
-                    report.comm_seconds += shipment.seconds
-                    report.shipments += 1
-                    report.shipment_bytes[key] = shipment.bytes_sent
-                    report.shipment_seconds[key] = shipment.seconds
-                    tracer.record(
-                        f"ship {edge.fragment.name}", "ship",
-                        start=ship_started, seconds=shipment.seconds,
-                        edge_op=key[0], edge_port=key[1],
-                        bytes=shipment.bytes_sent,
-                        fragment=edge.fragment.name,
-                    )
-                    observe_shipment(
-                        self.metrics, shipment.bytes_sent,
-                        shipment.seconds,
-                    )
-                    if monitor is not None:
-                        monitor.edge_shipped(edge, shipment)
-                inputs.append(instance)
-            input_sizes = [
-                (instance.row_count(), instance.estimated_size())
-                for instance in inputs
-            ]
-            op_started = time.perf_counter()
-            if skip:
-                outputs, elapsed, rows = [], 0.0, 0
-            else:
-                outputs, elapsed, rows = self._execute(
-                    node, location, inputs
-                )
-                tracer.record(
-                    node.label(), "op", start=op_started,
-                    seconds=elapsed, op_id=node.op_id, kind=node.kind,
-                    location=location.name.lower(), rows=rows,
-                )
-                observe_operation(self.metrics, node.kind, elapsed, rows)
-            for in_rows, in_bytes in input_sizes:
-                meter.release(in_rows, in_bytes)
-            for output in outputs:
-                meter.acquire(output.row_count(), output.estimated_size())
-            report.op_timings.append(
-                OperationTiming(node.label(), node.kind, location,
-                                elapsed, rows, node.op_id)
-            )
-            report.comp_seconds[location] += elapsed
-            if node.kind == "write":
-                report.rows_written += rows
-                if self.journal is not None and not skip:
-                    self.journal.ack_write(
-                        write_key(node.op_id, node.fragment.name)
-                    )
-            for index, output in enumerate(outputs):
-                values[(node.op_id, index)] = (output, location)
-            if monitor is not None:
-                monitor.op_finished(node, location, elapsed, rows)
-        if values:
-            leftovers = ", ".join(
-                f"op {op_id} port {port}" for op_id, port in values
-            )
-            raise ProgramError(f"unconsumed program outputs: {leftovers}")
-        report.peak_resident_rows = meter.peak_rows
-        report.peak_resident_bytes = meter.peak_bytes
-        if stats is not None:
-            apply_robustness(report, stats)
-        report.wall_seconds = time.perf_counter() - started
-        report.critical_path_seconds = critical_path_seconds(
-            program, report
-        )
-        return report
-
-    def _execute(self, node: Operation, location: Location,
-                 inputs: list[FragmentInstance]
-                 ) -> tuple[list[FragmentInstance], float, int]:
-        return execute_operation(node, self._endpoint(location), inputs)
-
-
-def execute_operation(node: Operation, endpoint: DataEndpoint,
-                      inputs: list[FragmentInstance]
-                      ) -> tuple[list[FragmentInstance], float, int]:
-    """Run one primitive operation against ``endpoint`` and time it.
-
-    Shared by the sequential and the parallel executor so both delegate
-    Scan/Write identically and measure the same thing.
-
-    Raises:
-        ProgramError: on an unknown operation kind.
-    """
-    start = time.perf_counter()
-    if isinstance(node, Scan):
-        outputs = [endpoint.scan(node.fragment)]
-        rows = outputs[0].row_count()
-    elif isinstance(node, Combine):
-        outputs = [node.apply(inputs[0], inputs[1])]
-        rows = outputs[0].row_count()
-    elif isinstance(node, Split):
-        outputs = node.apply(inputs[0])
-        rows = sum(output.row_count() for output in outputs)
-    elif isinstance(node, Write):
-        endpoint.write(node.fragment, inputs[0])
-        outputs = []
-        rows = inputs[0].row_count()
-    else:
-        raise ProgramError(f"unknown operation kind {node.kind!r}")
-    elapsed = time.perf_counter() - start
-    return outputs, elapsed, rows
+        return StreamingRun(
+            program, placement, self.source, self.target,
+            self.channel, self.batch_rows,
+            retry=self.retry, journal=self.journal,
+            tracer=self.tracer, metrics=self.metrics,
+            columnar=self.columnar, join_strategy=self.join_strategy,
+        ).execute(self.workers, monitor)
 
 
 def apply_robustness(report: ExecutionReport, stats) -> None:
     """Fold a :class:`~repro.net.faults.RobustnessStats` into the
     report.
 
-    Shared by all three executors.  Per-edge counters are *added* to
+    Per-edge counters are *added* to
     whatever the report already holds — when several reliable links
     (or several runs merging into one stats object) touched the same
     edge, their counts sum instead of the last writer winning.

@@ -33,8 +33,8 @@ from typing import IO
 class ExchangeJournal:
     """Append-only acknowledgement log for one exchange.
 
-    Thread-safe: the parallel executors ack from worker threads.  Keys
-    identify Write operations stably across runs (the executors use
+    Thread-safe: parallel runs ack from worker threads.  Keys
+    identify Write operations stably across runs (the executor uses
     ``"<op_id>:<fragment name>"``), so a fresh process replaying the
     same program resolves its acknowledgements.
     """

@@ -95,8 +95,8 @@ def simulate_parallel_makespan(program: TransferProgram,
     streaming dataplane a cross-edge ships chunk *i* while chunk *i+1*
     is still being produced, so up to ``min(compute, comm)`` of a
     group's communication hides behind its computation.  ``0`` models
-    the materialized dataplane (each edge is one monolithic transfer
-    that cannot start until its producer finishes); ``1`` models
+    one batch per edge (each edge is one monolithic transfer that
+    cannot start until its producer finishes); ``1`` models
     perfect chunk-level overlap — a fully streamed run with many small
     batches approaches it.
     """

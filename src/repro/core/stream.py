@@ -1,16 +1,15 @@
 """Bounded-memory fragment streams: the batch dataplane.
 
-The materialized dataplane moves whole :class:`~repro.core.instance.
-FragmentInstance` values between operations, so peak memory and
-per-edge latency scale with document size.  This module provides the
-streamed alternative: a :class:`RowBatch` is an ordered slice of a
-fragment's feed (rows ``seq * batch_rows .. len(rows)``), and a
-:class:`FragmentStream` is a single-use iterator of batches with
-bridges to and from the materialized representation.  Operations that
-move batches instead of instances hold only a bounded frontier of rows
+Every placed program moves its values as batches: a :class:`RowBatch`
+is an ordered slice of a fragment's feed (rows ``seq * batch_rows ..
+len(rows)``; one batch holds the whole feed when the run's
+``batch_rows`` is ``None``), and a :class:`FragmentStream` is a
+single-use iterator of batches with bridges to and from the
+materialized :class:`~repro.core.instance.FragmentInstance`.  With a
+finite batch size operations hold only a bounded frontier of rows
 resident at any time; :class:`ResidencyMeter` measures that frontier
 (``peak_resident_rows`` / ``peak_resident_bytes`` in the execution
-report) for both dataplanes so the bound is checkable.
+report) so the bound is checkable.
 """
 
 from __future__ import annotations

@@ -19,11 +19,12 @@ messages.  This module makes transport failure a first-class input:
   ``jitter`` hook decorates the delay) and an optional per-message
   timeout; exhaustion raises :class:`~repro.errors.RetryExhausted`
   carrying the attempt count and last cause.
-* :class:`ReliableChannel` / :class:`ReliableBatchLink` — the healing
-  layer the executors wire in: re-send on drop/corruption/timeout,
+* :class:`ReliableBatchLink` — the healing layer the executor wires
+  into every cross-edge: re-send on drop/corruption/timeout,
   de-duplicate re-deliveries by sequence number (idempotent delivery),
   and re-assemble re-ordered batch streams in ``seq`` order, so the
   written output stays byte-identical to a fault-free run.
+  :class:`ReliableChannel` re-sends publish&map's one document.
 
 Corruption detection is real where the wire is real: with a
 ``wire_format`` channel the corrupted SOAP message fails its Adler-32
@@ -48,7 +49,6 @@ from repro.errors import (
     SoapFault,
     TransportError,
 )
-from repro.core.instance import FragmentInstance
 from repro.core.program.executor import Shipment
 from repro.core.stream import RowBatch
 from repro.net.soap import CHECKSUM_ATTR, unwrap_fragment_feed, wrap_fragment_feed
@@ -450,10 +450,10 @@ class FaultyChannel:
     Implements the executors' ``ShippingChannel`` protocol: without a
     retry layer above it, injected drops/corruptions surface as raised
     :class:`~repro.errors.TransportError` subclasses (fail-fast, the
-    pre-robustness behaviour).  The ``transmit_*`` methods additionally
-    report *what the receiver got* — zero, one, or two copies, possibly
-    out of order — which is what :class:`ReliableChannel` and
-    :class:`ReliableBatchLink` heal from.
+    pre-robustness behaviour).  :meth:`transmit_batch` additionally
+    reports *what the receiver got* — zero, one, or two copies,
+    possibly out of order — which is what :class:`ReliableBatchLink`
+    heals from.
 
     Every transmission (including re-sends) consumes a fresh message
     index from the plan and, when the wrapped channel supports it
@@ -509,47 +509,35 @@ class FaultyChannel:
     def _wire(self) -> bool:
         return bool(getattr(self.inner, "wire_format", False))
 
-    def _fragment_size(self, instance: FragmentInstance) -> int:
-        if self._wire():
-            return len(wrap_fragment_feed(instance))
-        return instance.feed_size()
-
     def _batch_size(self, batch: RowBatch) -> int:
         if self._wire():
             return len(wrap_fragment_feed(
-                FragmentInstance(batch.fragment, batch.rows),
-                seq=batch.seq,
+                batch.to_instance(), seq=batch.seq
             ))
         return batch.feed_size()
 
-    def _corrupt(self, index: int, instance: FragmentInstance,
-                 seq: int | None, size: int) -> None:
+    def _corrupt(self, index: int, batch: RowBatch) -> None:
         """Charge the garbled transmission and raise its detection."""
         self._count("corruptions")
         if self._wire():
-            message = corrupt_soap_message(
-                wrap_fragment_feed(instance, seq=seq)
-            )
+            message = corrupt_soap_message(wrap_fragment_feed(
+                batch.to_instance(), seq=batch.seq
+            ))
             self._charge_lost(len(message))
             try:
-                unwrap_fragment_feed(message, instance.fragment)
+                unwrap_fragment_feed(message, batch.fragment)
             except SoapFault as fault:
                 raise MessageCorrupted(
                     f"message {index} corrupted in flight: {fault}"
                 ) from fault
         else:
-            self._charge_lost(size)
+            self._charge_lost(self._batch_size(batch))
         raise MessageCorrupted(
             f"message {index} corrupted in flight "
             "(feed checksum mismatch)"
         )
 
     # -- ShippingChannel protocol -------------------------------------------------
-
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        """Ship a whole feed; raises on injected drop/corruption."""
-        shipment, _ = self.transmit_fragment(instance)
-        return shipment
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
         """Ship one batch; raises on injected drop/corruption."""
@@ -587,40 +575,6 @@ class FaultyChannel:
 
     # -- delivery-level API (used by the reliable layer) ---------------------------
 
-    def transmit_fragment(
-        self, instance: FragmentInstance,
-    ) -> tuple[Shipment, list[FragmentInstance]]:
-        """One wire transmission of a whole feed.
-
-        Returns the charge receipt plus the copies the receiver got.
-        A single-message edge has nothing to overtake, so ``reorder``
-        degrades to a delayed (but delivered) message.
-        """
-        index, kind = self._next_fault()
-        if kind is FaultKind.DROP:
-            self._count("drops")
-            self._charge_lost(self._fragment_size(instance))
-            raise MessageDropped(
-                f"message {index} dropped by fault plan"
-            )
-        if kind is FaultKind.CORRUPT:
-            self._corrupt(index, instance, None,
-                          self._fragment_size(instance))
-        shipment = self.inner.ship_fragment(instance)
-        if kind is FaultKind.DUPLICATE:
-            self._count("duplicates")
-            self._charge_lost(self._fragment_size(instance))
-            return shipment, [instance, instance]
-        if kind in (FaultKind.DELAY, FaultKind.REORDER):
-            self._count("delays" if kind is FaultKind.DELAY
-                        else "reorders")
-            self._charge_delay(self.plan.delay_seconds)
-            shipment = Shipment(
-                shipment.bytes_sent,
-                shipment.seconds + self.plan.delay_seconds,
-            )
-        return shipment, [instance]
-
     def transmit_batch(
         self, batch: RowBatch, edge: object = None,
     ) -> tuple[Shipment, list[RowBatch]]:
@@ -640,8 +594,7 @@ class FaultyChannel:
                 "fault plan"
             )
         if kind is FaultKind.CORRUPT:
-            self._corrupt(index, batch.to_instance(), batch.seq,
-                          self._batch_size(batch))
+            self._corrupt(index, batch)
         shipment = self.inner.ship_batch(batch)
         with self._lock:
             held = self._held.setdefault(edge, [])
@@ -674,13 +627,12 @@ class FaultyChannel:
 
 
 class ReliableChannel:
-    """At-least-once adapter over any shipping channel.
+    """At-least-once document delivery over any shipping channel.
 
-    Wraps every send in the :class:`RetryPolicy` (drop, corruption and
-    timeout trigger re-sends; a fresh transmission gets a fresh fault
-    draw) and discards duplicate deliveries, counting them in
-    ``stats``.  Implements the executors' ``ShippingChannel`` protocol;
-    unknown attributes delegate to the wrapped channel.
+    Wraps publish&map's document send in the :class:`RetryPolicy`
+    (drop, corruption and timeout trigger re-sends; a fresh
+    transmission gets a fresh fault draw), counting the healing work
+    in ``stats``.  Unknown attributes delegate to the wrapped channel.
     """
 
     def __init__(self, channel: object, policy: RetryPolicy,
@@ -693,60 +645,6 @@ class ReliableChannel:
 
     def __getattr__(self, name: str) -> object:
         return getattr(self.channel, name)
-
-    def _settle(self, shipment: Shipment, delivered: list[object],
-                edge: object = None) -> Shipment:
-        self.policy.check_timeout(shipment)
-        if len(delivered) > 1:
-            self.stats.count_redelivered(len(delivered) - 1, edge)
-        return shipment
-
-    def ship_fragment(self, instance: FragmentInstance,
-                      edge: object = None) -> Shipment:
-        """Deliver a whole feed, retrying injected failures.
-
-        ``edge`` (the executors' producer-port key) attributes the
-        healing work to that cross-edge in the stats breakdown.
-        """
-        transmit = getattr(self.channel, "transmit_fragment", None)
-
-        def send() -> Shipment:
-            if transmit is not None:
-                shipment, delivered = transmit(instance)
-            else:
-                shipment = self.channel.ship_fragment(instance)
-                delivered = [instance]
-            return self._settle(shipment, delivered, edge)
-
-        stats = (
-            self.stats if edge is None else self.stats.scoped(edge)
-        )
-        return self.policy.run(
-            send, f"fragment feed {instance.fragment.name!r}",
-            stats, self.tracer,
-        )
-
-    def ship_batch(self, batch: RowBatch,
-                   edge: object = None) -> Shipment:
-        """Deliver one batch, retrying injected failures."""
-        transmit = getattr(self.channel, "transmit_batch", None)
-
-        def send() -> Shipment:
-            if transmit is not None:
-                shipment, delivered = transmit(batch)
-            else:
-                shipment = self.channel.ship_batch(batch)
-                delivered = [batch]
-            return self._settle(shipment, delivered, edge)
-
-        stats = (
-            self.stats if edge is None else self.stats.scoped(edge)
-        )
-        return self.policy.run(
-            send,
-            f"batch {batch.seq} of fragment {batch.fragment.name!r}",
-            stats, self.tracer,
-        )
 
     def ship_document(self, text: str) -> Shipment:
         """Deliver a published document, retrying injected failures."""
@@ -850,15 +748,3 @@ class ReliableBatchLink:
             )
         return ready
 
-
-def reliable_ship_fragment(
-    channel: object, policy: RetryPolicy | None,
-    instance: FragmentInstance, stats: RobustnessStats,
-) -> Shipment:
-    """Ship one materialized feed through the reliable layer (or
-    straight through when no policy is configured)."""
-    if policy is None:
-        return channel.ship_fragment(instance)
-    return ReliableChannel(channel, policy, stats).ship_fragment(
-        instance
-    )

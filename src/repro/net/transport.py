@@ -146,13 +146,13 @@ class Transport(abc.ABC):
     """One-way source → target data transport with byte/time accounting.
 
     This is the interface every shipper in the system depends on —
-    executors ship fragment feeds and stream batches through it, the
+    executors ship fragment feeds batch by batch through it, the
     publish&map pipeline ships whole documents, fault injection and the
     reliable layer wrap it, the exchange service resets and reads its
     accounting windows, and cost probes ask it :meth:`transfer_cost`.
 
-    Accounting is thread-safe: concurrent shippers (the parallel
-    executor pipelines transfers against computation) may charge the
+    Accounting is thread-safe: concurrent shippers (a parallel run
+    pipelines transfers against computation) may charge the
     transport from multiple threads.  Lifecycle is uniform across
     implementations: :meth:`close` is idempotent and thread-safe, and
     any send after it raises :class:`~repro.errors.TransportError`.
@@ -268,32 +268,16 @@ class Transport(abc.ABC):
 
     # -- shipping ----------------------------------------------------------------
 
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        """Ship one fragment feed (cross-edge traffic).
-
-        In wire format the feed is SOAP-encoded, charged at its actual
-        message size, decoded again, and the decoded rows *replace* the
-        instance's rows — so downstream operations consume exactly what
-        crossed the network.
-        """
-        if not self.wire_format:
-            # Fragments travel as tabular sorted feeds (Section 4.1).
-            return self._charge(instance.feed_size())
-        message = wrap_fragment_feed(instance)
-        shipment = self._charge(len(message))
-        received = unwrap_fragment_feed(message, instance.fragment)
-        instance.rows[:] = received.rows
-        return shipment
-
     def ship_batch(self, batch: RowBatch) -> Shipment:
-        """Ship one batch of a fragment feed (chunked cross-edge
-        traffic of the streaming dataplane).
+        """Ship one batch of a fragment feed (cross-edge traffic).
 
         Each batch is one message: it pays the per-message latency —
         finer batching buys pipelining at the price of more handshakes,
-        exactly the chunk-size trade-off of a streamed transfer.  Wire
-        format encodes/decodes the batch like :meth:`ship_fragment`
-        does the whole feed, replacing the batch's rows with what
+        exactly the chunk-size trade-off of a streamed transfer.
+        Fragments travel as tabular sorted feeds (Section 4.1).  In
+        wire format the batch is SOAP-encoded, charged at its actual
+        message size, decoded again, and the decoded rows *replace* the
+        batch's rows — so downstream operations consume exactly what
         crossed the network.
         """
         if not self.wire_format:
@@ -313,8 +297,8 @@ class Transport(abc.ABC):
 class SimulatedChannel(Transport):
     """Simulated channel charging ``latency + bytes / bandwidth``.
 
-    Two fidelity levels: the default counts bytes from the instance's
-    estimated size (fast); ``wire_format=True`` actually serializes
+    Two fidelity levels: the default counts bytes from the batch's
+    feed size (fast); ``wire_format=True`` actually serializes
     each fragment feed into its SOAP message and parses it back on the
     other side.  With ``realtime=True`` every send also *sleeps* its
     simulated transfer time, so a measured wall clock feels the link;
@@ -380,7 +364,7 @@ class TcpTransport(Transport):
 
     Wire format is always on — the wire is real — and, like the
     simulated wire path, the decoded rows replace the shipped
-    instance's rows so downstream operations consume exactly what
+    batch's rows so downstream operations consume exactly what
     crossed the network.  Round trips are serialized per transport
     (one in-flight message per connection); concurrent sessions get
     their own connections.
@@ -499,13 +483,6 @@ class TcpTransport(Transport):
         seconds = self.transfer_cost(size_bytes)
         self._account(size_bytes, seconds, lost=lost)
         return Shipment(size_bytes, seconds)
-
-    def ship_fragment(self, instance: FragmentInstance) -> Shipment:
-        message = wrap_fragment_feed(instance)
-        shipment = self._ship_feed(message)
-        received = unwrap_fragment_feed(message, instance.fragment)
-        instance.rows[:] = received.rows
-        return shipment
 
     def ship_batch(self, batch: RowBatch) -> Shipment:
         instance = FragmentInstance(batch.fragment, batch.rows)

@@ -1,10 +1,9 @@
 """Metrics: counters, gauges, fixed-bucket histograms, one registry.
 
 This replaces the ad-hoc accounting that used to be scattered across
-the pipeline — ``repro.reporting.timers`` now delegates here, the
-executors feed per-op-kind rows/bytes/seconds histograms, the parallel
-executor reports its in-flight queue depth as a gauge, and the fault
-layer counts retries and discarded duplicates.  Metric names are
+the pipeline: :class:`Timer` times blocks, the executor feeds
+per-op-kind rows/bytes/seconds histograms, and the fault layer counts
+retries and discarded duplicates.  Metric names are
 dotted lowercase (``op.combine.seconds``, ``ship.bytes``,
 ``retry.resends``); the full catalogue lives in
 ``docs/observability.md``.
@@ -83,9 +82,9 @@ class Counter:
 class Gauge:
     """A level that moves both ways, with a high-water mark.
 
-    The parallel executor's queue depth is the motivating use:
-    ``add(+1)`` on submit, ``add(-1)`` on completion, and ``peak``
-    answers "how deep did the ready queue ever get".
+    The broker's in-flight sessions are the motivating use:
+    ``add(+1)`` on admission, ``add(-1)`` on completion, and ``peak``
+    answers "how many ever ran at once".
     """
 
     __slots__ = ("name", "_lock", "_value", "peak")
@@ -298,20 +297,18 @@ def observe_join(registry: MetricsRegistry | None, strategy: str,
 
 
 def observe_shipment(registry: MetricsRegistry | None,
-                     bytes_sent: int, seconds: float,
-                     batch: bool = False) -> None:
-    """Record one cross-edge transfer into the standard ship metrics
-    (``ship.messages``/``.bytes``/``.seconds`` plus
-    ``ship.batch_bytes`` for streamed chunks)."""
+                     bytes_sent: int, seconds: float) -> None:
+    """Record one shipped message into the standard ship metrics
+    (``ship.messages``/``.bytes``/``.seconds`` plus the per-message
+    size histogram ``ship.batch_bytes``)."""
     if registry is None:
         return
     registry.counter("ship.messages").add(1)
     registry.counter("ship.bytes").add(bytes_sent)
     registry.histogram("ship.seconds").observe(seconds)
-    if batch:
-        registry.histogram(
-            "ship.batch_bytes", SIZE_BUCKETS
-        ).observe(bytes_sent)
+    registry.histogram("ship.batch_bytes", SIZE_BUCKETS).observe(
+        bytes_sent
+    )
 
 
 class Timer:
@@ -321,11 +318,9 @@ class Timer:
             work()
         print(timer.seconds)
 
-    This is the engine behind :class:`repro.reporting.timers.Timer`
-    (kept there as a thin alias for compatibility).  Optionally bind a
-    registry: each exit observes the elapsed seconds into the named
-    histogram, so ad-hoc timers feed the same metric namespace as the
-    executors.
+    Optionally bind a registry: each exit observes the elapsed seconds
+    into the named histogram, so ad-hoc timers feed the same metric
+    namespace as the executor.
     """
 
     __slots__ = ("seconds", "_started", "_histogram")

@@ -27,7 +27,6 @@ from repro.core.delta import (
 from repro.core.program.dag import Placement, TransferProgram
 from repro.core.program.executor import ExecutionReport, ProgramExecutor
 from repro.core.program.journal import ExchangeJournal
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.faults import (
     FaultPlan,
     FaultyChannel,
@@ -75,7 +74,7 @@ class ExchangeOutcome:
     #: summed per-step attribution sequentially; with parallel workers
     #: it is the real makespan (smaller when overlap pays off).
     wall_seconds: float = 0.0
-    #: Dataplane the program phase used (None = materialized).
+    #: Batch size the program phase used (None = one batch per edge).
     batch_rows: int | None = None
     #: Whether the program phase ran the columnar dataplane.
     columnar: bool = False
@@ -148,7 +147,6 @@ def run_optimized_exchange(
     parallel_workers: int = 1,
     batch_rows: int | None = None,
     columnar: bool = False,
-    join_strategy: str | None = None,
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     journal: ExchangeJournal | None = None,
@@ -161,23 +159,21 @@ def run_optimized_exchange(
 ) -> ExchangeOutcome:
     """Run the optimized data exchange (Section 5.2 steps 1–5).
 
-    With ``parallel_workers > 1`` the program phase runs on the
-    DAG-scheduled :class:`~repro.core.program.parallel_executor.
-    ParallelProgramExecutor`: independent expressions execute
-    concurrently and cross-edge shipping overlaps computation.  Written
-    fragments are identical either way; the per-step attribution keeps
-    its sequential meaning while ``wall_seconds`` carries the measured
-    makespan.
+    The program phase runs on :class:`~repro.core.program.executor.
+    ProgramExecutor`.  With ``parallel_workers > 1`` independent
+    expressions execute concurrently and cross-edge shipping overlaps
+    computation.  Written fragments are identical either way; the
+    per-step attribution keeps its sequential meaning while
+    ``wall_seconds`` carries the measured makespan.
 
-    ``batch_rows`` selects the executor's dataplane: ``None`` moves
-    materialized instances, an integer streams row batches of that size
-    (bounded peak residency, chunked shipping, same written fragments).
-    ``columnar=True`` (requires ``batch_rows``) streams flat-storable
-    fragments as :class:`~repro.core.columnar.ColumnBatch` columns
-    instead — Combine runs the build/probe join, Split projects
-    columns, and the written fragments stay byte-identical.
-    ``join_strategy`` pins the columnar join ("hash"/"merge"; default
-    auto-selects from the observed feed order).
+    ``batch_rows`` sets the batch size: ``None`` ships each edge's
+    whole feed as one batch (one message per cross-edge), an integer
+    streams row batches of that size (bounded peak residency, chunked
+    shipping, same written fragments).  ``columnar=True`` (requires
+    ``batch_rows``) streams flat-storable fragments as
+    :class:`~repro.core.columnar.ColumnBatch` columns instead — Combine
+    runs the build/probe join, Split projects columns, and the written
+    fragments stay byte-identical.
 
     ``fault_plan`` makes the channel lossy (see :mod:`repro.net.
     faults`); ``retry_policy`` arms the reliable layer that heals the
@@ -307,8 +303,7 @@ def run_optimized_exchange(
         runner = AdaptiveRun(
             program, placement, source, target, wire,
             config=adaptive, parallel_workers=parallel_workers,
-            batch_rows=batch_rows, columnar=columnar,
-            join_strategy=join_strategy, retry=retry_policy,
+            batch_rows=batch_rows, columnar=columnar, retry=retry_policy,
             tracer=tracer, metrics=metrics,
         )
         with tracer.span("execute program", "step", scenario=scenario,
@@ -318,23 +313,12 @@ def run_optimized_exchange(
         outcome.replans = runner.replans
         outcome.ops_moved = runner.ops_moved
     else:
-        if parallel_workers > 1:
-            executor: ProgramExecutor | ParallelProgramExecutor = \
-                ParallelProgramExecutor(
-                    exec_source, exec_target, wire,
-                    workers=parallel_workers,
-                    batch_rows=batch_rows,
-                    retry=retry_policy, journal=journal,
-                    tracer=tracer, metrics=metrics,
-                    columnar=columnar, join_strategy=join_strategy,
-                )
-        else:
-            executor = ProgramExecutor(
-                exec_source, exec_target, wire, batch_rows=batch_rows,
-                retry=retry_policy, journal=journal,
-                tracer=tracer, metrics=metrics,
-                columnar=columnar, join_strategy=join_strategy,
-            )
+        executor = ProgramExecutor(
+            exec_source, exec_target, wire, batch_rows=batch_rows,
+            retry=retry_policy, journal=journal,
+            tracer=tracer, metrics=metrics, columnar=columnar,
+            workers=parallel_workers,
+        )
         with tracer.span("execute program", "step", scenario=scenario,
                          method="DE", workers=parallel_workers):
             report = executor.run(program, placement)

@@ -175,10 +175,6 @@ class TestCrashResume:
             self, exchange, tmp_path):
         """The DAG scheduler honours the same journal: writes acked by
         a previous (sequential) run are not repeated."""
-        from repro.core.program.parallel_executor import (
-            ParallelProgramExecutor,
-        )
-
         source, target_frag, program, placement = exchange
         reference, _ = run_uninterrupted(exchange)
         journal_path = tmp_path / "cross.journal"
@@ -192,7 +188,7 @@ class TestCrashResume:
 
         idle_channel = SimulatedChannel(wire_format=True)
         with ExchangeJournal(journal_path) as journal:
-            report = ParallelProgramExecutor(
+            report = ProgramExecutor(
                 source, target, idle_channel, workers=2,
                 journal=journal,
             ).run(program, placement)

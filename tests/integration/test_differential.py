@@ -20,7 +20,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.faults import FaultPlan, FaultyChannel, RetryPolicy
 from repro.net.transport import SimulatedChannel
 from repro.relational.publisher import publish_document
@@ -40,10 +39,10 @@ EXECUTORS = [
     ("stream-rows1", ProgramExecutor, {"batch_rows": 1}),
     ("stream-rows7", ProgramExecutor, {"batch_rows": 7}),
     ("stream-rows64", ProgramExecutor, {"batch_rows": 64}),
-    ("parallel-w1", ParallelProgramExecutor, {"workers": 1}),
-    ("parallel-w2", ParallelProgramExecutor, {"workers": 2}),
-    ("parallel-w4", ParallelProgramExecutor, {"workers": 4}),
-    ("parallel-w2-stream", ParallelProgramExecutor,
+    ("parallel-w1", ProgramExecutor, {"workers": 1}),
+    ("parallel-w2", ProgramExecutor, {"workers": 2}),
+    ("parallel-w4", ProgramExecutor, {"workers": 4}),
+    ("parallel-w2-stream", ProgramExecutor,
      {"workers": 2, "batch_rows": 7}),
 ]
 

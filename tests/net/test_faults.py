@@ -16,7 +16,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.core.program.executor import Shipment
-from repro.core.stream import FragmentStream
+from repro.core.stream import FragmentStream, RowBatch
 from repro.net.faults import (
     FaultKind,
     FaultPlan,
@@ -33,6 +33,12 @@ from repro.workloads.customer import fragment_customers
 @pytest.fixture
 def feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
+
+
+@pytest.fixture
+def whole(feed):
+    """The whole feed as one message (what ``batch_rows=None`` ships)."""
+    return RowBatch(feed.fragment, feed.rows, 0)
 
 
 @pytest.fixture
@@ -195,38 +201,39 @@ class TestRetryPolicy:
 class TestFaultyChannelMatrix:
     """Every fault kind fires exactly on its scheduled index."""
 
-    def test_drop_raises_and_charges(self, feed):
+    def test_drop_raises_and_charges(self, feed, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(drop=0))
         with pytest.raises(MessageDropped):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert channel.stats.drops == 1
         assert inner.lost_messages == 1
         assert inner.lost_bytes == feed.feed_size()
         # The next message is clean: schedule, not chance.
-        channel.ship_fragment(feed)
+        channel.ship_batch(whole)
         assert inner.messages == 2
 
-    def test_corrupt_detected_by_real_checksum(self, feed):
+    def test_corrupt_detected_by_real_checksum(self, whole):
         inner = SimulatedChannel(wire_format=True)
         channel = FaultyChannel(inner, scripted(corrupt=0))
         with pytest.raises(MessageCorrupted, match="checksum"):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert channel.stats.corruptions == 1
         assert inner.lost_messages == 1
 
-    def test_corrupt_on_byte_counting_channel(self, feed):
+    def test_corrupt_on_byte_counting_channel(self, feed, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(corrupt=0))
         with pytest.raises(MessageCorrupted):
-            channel.ship_fragment(feed)
+            channel.ship_batch(whole)
         assert inner.lost_bytes == feed.feed_size()
 
-    def test_duplicate_delivers_twice_and_charges_copy(self, feed):
+    def test_duplicate_delivers_twice_and_charges_copy(self, feed,
+                                                        whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(duplicate=0))
-        shipment, delivered = channel.transmit_fragment(feed)
-        assert delivered == [feed, feed]
+        shipment, delivered = channel.transmit_batch(whole)
+        assert delivered == [whole, whole]
         assert channel.stats.duplicates == 1
         assert inner.lost_bytes == feed.feed_size()
         assert inner.total_bytes == 2 * feed.feed_size()
@@ -249,12 +256,12 @@ class TestFaultyChannelMatrix:
         assert channel.flush_batches("e") == [batches[0]]
         assert channel.flush_batches("e") == []
 
-    def test_delay_inflates_shipment(self, feed):
+    def test_delay_inflates_shipment(self, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, scripted(delay=0))
-        clean = SimulatedChannel().ship_fragment(feed)
-        delayed, delivered = channel.transmit_fragment(feed)
-        assert delivered == [feed]
+        clean = SimulatedChannel().ship_batch(whole)
+        delayed, delivered = channel.transmit_batch(whole)
+        assert delivered == [whole]
         assert delayed.seconds == pytest.approx(clean.seconds + 0.25)
         assert inner.total_seconds \
             == pytest.approx(clean.seconds + 0.25)
@@ -271,40 +278,47 @@ class TestFaultyChannelMatrix:
         channel.ship_document("payload")
         assert channel.stats.injected == 2
 
-    def test_accounting_reads_through(self, feed):
+    def test_accounting_reads_through(self, whole):
         inner = SimulatedChannel()
         channel = FaultyChannel(inner, FaultPlan())
-        channel.ship_fragment(feed)
+        channel.ship_batch(whole)
         assert channel.total_bytes == inner.total_bytes
         assert channel.messages == 1
 
 
 class TestReliableChannel:
-    def test_heals_drop_with_one_retry(self, feed):
+    """Single-message healing: publish&map's document goes through
+    :class:`ReliableChannel`, a one-batch edge through
+    :class:`ReliableBatchLink`."""
+
+    def test_heals_drop_with_one_retry(self):
         inner = SimulatedChannel()
         faulty = FaultyChannel(inner, scripted(drop=0))
         stats = RobustnessStats()
         reliable = ReliableChannel(
             faulty, RetryPolicy(max_attempts=3), stats
         )
-        shipment = reliable.ship_fragment(feed)
-        assert shipment.bytes_sent == feed.feed_size()
+        shipment = reliable.ship_document("payload")
+        assert shipment.bytes_sent == len("payload")
         assert stats.retries == 1
         # Both the failed and the successful transmission hit the wire.
         assert inner.messages == 2
         assert inner.lost_messages == 1
 
-    def test_discards_duplicate_delivery(self, feed):
+    def test_discards_duplicate_delivery(self, whole):
         faulty = FaultyChannel(
             SimulatedChannel(), scripted(duplicate=0)
         )
         stats = RobustnessStats()
-        ReliableChannel(
-            faulty, RetryPolicy(max_attempts=2), stats
-        ).ship_fragment(feed)
+        link = ReliableBatchLink(
+            faulty, RetryPolicy(max_attempts=2), stats, edge="e"
+        )
+        _, delivered = link.send(whole)
+        assert delivered == [whole]
+        assert link.finish() == []
         assert stats.redelivered == 1
 
-    def test_exhaustion_raises_retry_exhausted(self, feed):
+    def test_exhaustion_raises_retry_exhausted(self):
         # Every message the policy may send is scheduled to fail.
         faulty = FaultyChannel(
             SimulatedChannel(),
@@ -314,11 +328,11 @@ class TestReliableChannel:
         )
         policy = RetryPolicy(max_attempts=3, sleep=lambda d: None)
         with pytest.raises(RetryExhausted) as info:
-            ReliableChannel(faulty, policy).ship_fragment(feed)
+            ReliableChannel(faulty, policy).ship_document("payload")
         assert info.value.attempts == 3
         assert isinstance(info.value.last_cause, MessageDropped)
 
-    def test_timeout_triggers_resend(self, feed):
+    def test_timeout_triggers_resend(self, feed, whole):
         inner = SimulatedChannel()
         budget = inner.transfer_cost(feed.feed_size())
         faulty = FaultyChannel(inner, scripted(delay=0))
@@ -327,7 +341,10 @@ class TestReliableChannel:
             max_attempts=2, timeout_seconds=budget + 0.1,
             sleep=lambda d: None,
         )
-        ReliableChannel(faulty, policy, stats).ship_fragment(feed)
+        link = ReliableBatchLink(faulty, policy, stats, edge="e")
+        _, delivered = link.send(whole)
+        # The late copy still arrived; its re-send is the duplicate.
+        assert delivered == [whole]
         assert stats.timeouts == 1
         assert stats.retries == 1
         assert inner.messages == 2
@@ -448,30 +465,30 @@ class TestPerEdgeAttribution:
         assert report.retries_by_edge == {(1, 0): 2, (2, 0): 1}
         assert report.redelivered_by_edge == {(1, 0): 2}
 
-    def test_reliable_channel_edge_kwarg(self, feed):
+    def test_reliable_channel_edge_kwarg(self, whole):
         stats = RobustnessStats()
-        channel = ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(SimulatedChannel(), scripted(drop=0)),
             RetryPolicy(max_attempts=4, sleep=lambda d: None),
-            stats,
+            stats, edge=(7, 0),
         )
-        channel.ship_fragment(feed, edge=(7, 0))
+        link.send(whole)
         assert stats.retries == 1
         assert stats.retries_by_edge == {(7, 0): 1}
 
-    def test_retry_spans_are_recorded(self, feed):
+    def test_retry_spans_are_recorded(self, whole):
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
         stats = RobustnessStats()
-        channel = ReliableChannel(
+        link = ReliableBatchLink(
             FaultyChannel(
                 SimulatedChannel(), scripted(drop=0), tracer=tracer
             ),
             RetryPolicy(max_attempts=4, sleep=lambda d: None),
-            stats, tracer=tracer,
+            stats, edge=(7, 0), tracer=tracer,
         )
-        channel.ship_fragment(feed, edge=(7, 0))
+        link.send(whole)
         retries = tracer.spans_of("retry")
         assert len(retries) == 1
         assert retries[0].attrs["error"] == "MessageDropped"

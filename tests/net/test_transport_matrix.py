@@ -26,14 +26,28 @@ from repro.net.transport import (
 )
 from repro.relational.publisher import publish_document
 from repro.services.endpoint import RelationalEndpoint
-from repro.services.exchange import run_optimized_exchange
+from repro.obs.metrics import MetricsRegistry
+from repro.services.exchange import (
+    run_optimized_exchange,
+    run_publish_and_map,
+)
 from repro.workloads.customer import fragment_customers
 from repro.xmlkit.tree import Element
+from tests.program.test_streaming import (
+    scans_at_source,
+    without_mailboxes,
+)
 
 
 @pytest.fixture
 def feed(customers_s, customer_documents):
     return fragment_customers(customer_documents, customers_s)["Order"]
+
+
+@pytest.fixture
+def whole(feed):
+    """The whole feed as one message (what ``batch_rows=None`` ships)."""
+    return RowBatch(feed.fragment, feed.rows, 0)
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +77,11 @@ class TestUniformLifecycle:
         assert transport.closed
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
-    def test_send_after_close_raises_uniformly(self, kind, sink, feed):
+    def test_send_after_close_raises_uniformly(self, kind, sink, whole):
         transport = make_transport(kind, sink)
         transport.close()
         with pytest.raises(TransportError, match="send after close"):
-            transport.ship_fragment(feed)
+            transport.ship_batch(whole)
         with pytest.raises(TransportError, match="send after close"):
             transport.ship_document("x")
         with pytest.raises(TransportError, match="send after close"):
@@ -119,18 +133,18 @@ class TestUniformLifecycle:
 
 
 class TestInProcessTransport:
-    def test_zero_time_but_counted_bytes(self, feed):
+    def test_zero_time_but_counted_bytes(self, whole):
         transport = InProcessTransport()
-        shipment = transport.ship_fragment(feed)
+        shipment = transport.ship_batch(whole)
         assert shipment.seconds == 0.0
         assert transport.total_seconds == 0.0
         assert transport.total_bytes == shipment.bytes_sent > 0
         assert transport.transfer_cost(10**9) == 0.0
 
-    def test_wire_format_round_trip(self, feed):
+    def test_wire_format_round_trip(self, feed, whole):
         transport = InProcessTransport(wire_format=True)
         rows_before = feed.row_count()
-        transport.ship_fragment(feed)
+        transport.ship_batch(whole)
         assert feed.row_count() == rows_before
 
 
@@ -144,9 +158,9 @@ class TestTcpTransport:
         assert transport.wire_format is True
         transport.close()
 
-    def test_measured_seconds_and_counted_bytes(self, sink, feed):
+    def test_measured_seconds_and_counted_bytes(self, sink, feed, whole):
         transport = TcpTransport.connect(sink.host, sink.port)
-        shipment = transport.ship_fragment(feed)
+        shipment = transport.ship_batch(whole)
         assert shipment.bytes_sent > feed.feed_size()  # SOAP overhead
         assert shipment.seconds > 0.0  # real wall time
         assert transport.total_bytes == shipment.bytes_sent
@@ -161,10 +175,10 @@ class TestTcpTransport:
         assert transport.transfer_cost(1000) == pytest.approx(expected)
         transport.close()
 
-    def test_rows_replaced_with_decoded_wire_rows(self, sink, feed):
+    def test_rows_replaced_with_decoded_wire_rows(self, sink, feed, whole):
         transport = TcpTransport.connect(sink.host, sink.port)
         eids_before = sorted(row.eid for row in feed.rows)
-        transport.ship_fragment(feed)
+        transport.ship_batch(whole)
         assert sorted(row.eid for row in feed.rows) == eids_before
         transport.close()
 
@@ -295,3 +309,38 @@ class TestEndToEndInterchangeability:
         transport.close()
         document = publish_document(target.db, target.mapper).document
         assert document == reference
+
+
+class TestEmptyFeedOverTcp:
+    def test_sink_acks_empty_feed_and_target_matches_pm(
+            self, auction_mf, auction_lf, auction_document):
+        """One batch per edge sends an empty feed as one message: the
+        sink verifies and acks it, and the exchanged target publishes
+        the publish&map document."""
+        source = without_mailboxes(auction_mf, auction_document)
+        assert source.scan(auction_mf.fragment("mailbox")).rows == []
+        program = build_transfer_program(
+            derive_mapping(auction_mf, auction_lf)
+        )
+        placement = scans_at_source(program)
+        registry = MetricsRegistry()
+        target = RelationalEndpoint("T-empty", auction_lf)
+        with FeedSink(metrics=registry) as live:
+            transport = TcpTransport.connect(live.host, live.port)
+            outcome = run_optimized_exchange(
+                program, placement, source, target, transport,
+                "empty-feed/tcp",
+            )
+            transport.close()
+        cross = program.cross_edges(placement)
+        assert outcome.report.shipment_batches == {
+            (edge.producer.op_id, edge.output_index): 1
+            for edge in cross
+        }
+        assert registry.counter("server.feeds").value == len(cross)
+        assert registry.counter("server.faults").value == 0
+
+        pm_target = RelationalEndpoint("PM-empty", auction_lf)
+        run_publish_and_map(source, pm_target, SimulatedChannel())
+        assert publish_document(target.db, target.mapper).document == \
+            publish_document(pm_target.db, pm_target.mapper).document

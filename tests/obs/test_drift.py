@@ -18,7 +18,6 @@ from repro.core.mapping import derive_mapping
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import SimulatedChannel
 from repro.obs import (
     DriftReport,
@@ -187,7 +186,7 @@ class TestOtherDataplanes:
                                                  auction_document):
         program, placement, report, tracer = mf_to_mf(
             auction_mf, auction_document,
-            lambda source, target, tracer: ParallelProgramExecutor(
+            lambda source, target, tracer: ProgramExecutor(
                 source, target, SimulatedChannel(), workers=4,
                 tracer=tracer,
             ),
@@ -217,11 +216,12 @@ class TestOtherDataplanes:
         )
         rebuilt = report_from_trace(program, tracer)
         assert len(rebuilt.op_timings) == len(program.nodes)
-        batch_spans = tracer.spans_of("batch")
-        assert batch_spans
+        ship_spans = tracer.spans_of("ship")
+        assert ship_spans
+        assert {span.attrs["seq"] for span in ship_spans} != {0}
         assert sum(
             report.shipment_batches.values()
-        ) == len(batch_spans)
+        ) == len(ship_spans)
         assert rebuilt.shipment_batches == report.shipment_batches
 
     def test_no_tracer_records_nothing(self, auction_mf,

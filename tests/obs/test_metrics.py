@@ -142,11 +142,12 @@ class TestHelpers:
     def test_observe_shipment_counts_bytes_and_batches(self):
         registry = MetricsRegistry()
         observe_shipment(registry, 1000, 0.1)
-        observe_shipment(registry, 500, 0.2, batch=True)
+        observe_shipment(registry, 500, 0.2)
         assert registry.counter("ship.messages").value == 2
         assert registry.counter("ship.bytes").value == 1500
         batches = registry.histogram("ship.batch_bytes", SIZE_BUCKETS)
-        assert batches.count == 1
+        assert batches.count == 2
+        assert batches.total == 1500
 
     def test_none_registry_is_noop(self):
         observe_operation(None, "scan", 0.1, 1)
@@ -167,8 +168,3 @@ class TestTimer:
         with Timer() as timer:
             pass
         assert timer.seconds >= 0.0
-
-    def test_reporting_shim_is_the_same_class(self):
-        from repro.reporting.timers import Timer as ShimTimer
-
-        assert ShimTimer is Timer

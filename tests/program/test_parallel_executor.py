@@ -1,15 +1,15 @@
-"""The DAG-scheduled parallel executor: determinism and reporting."""
+"""Parallel runs (``workers > 1``): determinism and reporting."""
 
 import pytest
 
 from repro.errors import EndpointError, ProgramError
 from repro.core.mapping import derive_mapping
+from repro.core.ops import Scan
 from repro.core.ops.base import Location
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
-from repro.core.program.dag import Edge
+from repro.core.program.dag import Edge, TransferProgram
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint
 from repro.workloads.customer import fragment_customers
@@ -58,7 +58,7 @@ class TestDeterminism:
         expected = _written_documents(sequential_target)
 
         source, parallel_target = make()
-        ParallelProgramExecutor(
+        ProgramExecutor(
             source, parallel_target, workers=workers
         ).run(program, placement)
         assert _written_documents(parallel_target) == expected
@@ -69,7 +69,7 @@ class TestDeterminism:
         results = []
         for _ in range(3):
             source, target = make()
-            ParallelProgramExecutor(source, target, workers=4).run(
+            ProgramExecutor(source, target, workers=4).run(
                 program, placement
             )
             results.append(_written_documents(target))
@@ -86,7 +86,7 @@ class TestReport:
             program, placement
         )
         source, target = make()
-        parallel = ParallelProgramExecutor(
+        parallel = ProgramExecutor(
             source, target, workers=4
         ).run(program, placement)
         return program, placement, sequential, parallel
@@ -131,7 +131,7 @@ class TestReport:
             latency_seconds=0.001,
         )
         source, target = make()
-        report = ParallelProgramExecutor(
+        report = ProgramExecutor(
             source, target,
             SimulatedChannel(profile, realtime=True), workers=4,
         ).run(program, placement)
@@ -149,7 +149,7 @@ class TestErrors:
         make, _ = setup
         source, target = make()
         with pytest.raises(ValueError):
-            ParallelProgramExecutor(source, target, workers=0)
+            ProgramExecutor(source, target, workers=0)
 
     def test_operation_failure_propagates(self, setup):
         make, build = setup
@@ -157,17 +157,20 @@ class TestErrors:
         source, target = make()
         source.store.clear()  # every Scan now raises EndpointError
         with pytest.raises(EndpointError):
-            ParallelProgramExecutor(source, target, workers=4).run(
+            ProgramExecutor(source, target, workers=4).run(
                 program, placement
             )
 
 
+@pytest.mark.parametrize("batch_rows", [None, 4])
+@pytest.mark.parametrize("workers", [1, 4])
 class TestMissingValueMessages:
-    """The executor distinguishes never-produced from doubly-consumed
-    values instead of blaming everything on double consumption."""
+    """Every schedule raises a typed ProgramError for a malformed
+    program, distinguishing never-produced from doubly-consumed values
+    instead of blaming everything on double consumption."""
 
     def test_never_produced_message(self, setup, customers_s,
-                                    customers_t):
+                                    customers_t, workers, batch_rows):
         program = build_transfer_program(
             derive_mapping(customers_s, customers_t)
         )
@@ -182,12 +185,12 @@ class TestMissingValueMessages:
         make, _ = setup
         source, target = make()
         with pytest.raises(ProgramError, match="never produced"):
-            ProgramExecutor(source, target).run(
-                program, source_heavy_placement(program)
-            )
+            ProgramExecutor(
+                source, target, workers=workers, batch_rows=batch_rows
+            ).run(program, source_heavy_placement(program))
 
     def test_consumed_twice_message(self, setup, customers_s,
-                                    customers_t):
+                                    customers_t, workers, batch_rows):
         program = build_transfer_program(
             derive_mapping(customers_s, customers_t)
         )
@@ -208,6 +211,19 @@ class TestMissingValueMessages:
         make, _ = setup
         source, target = make()
         with pytest.raises(ProgramError, match="consumed twice"):
-            ProgramExecutor(source, target).run(
-                program, source_heavy_placement(program)
-            )
+            ProgramExecutor(
+                source, target, workers=workers, batch_rows=batch_rows
+            ).run(program, source_heavy_placement(program))
+
+    def test_unconsumed_outputs_message(self, setup, customers_s,
+                                        workers, batch_rows):
+        program = TransferProgram()
+        scan = program.add(Scan(customers_s.fragment("Order")))
+        make, _ = setup
+        source, target = make()
+        with pytest.raises(ProgramError,
+                           match=f"unconsumed program outputs: op "
+                                 f"{scan.op_id} port 0"):
+            ProgramExecutor(
+                source, target, workers=workers, batch_rows=batch_rows
+            ).run(program, {scan.op_id: Location.SOURCE})

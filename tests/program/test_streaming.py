@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import OperationError
 from repro.core.mapping import derive_mapping
+from repro.core.ops.base import Location
 from repro.core.ops.combine import Combine
+from repro.core.ops.scan import Scan
 from repro.core.optimizer.placement import source_heavy_placement
 from repro.core.program.builder import build_transfer_program
 from repro.core.program.executor import ProgramExecutor
-from repro.core.program.parallel_executor import ParallelProgramExecutor
 from repro.core.stream import FragmentStream
 from repro.net.transport import NetworkProfile, SimulatedChannel
 from repro.services.endpoint import InMemoryEndpoint, RelationalEndpoint
@@ -77,7 +78,7 @@ class TestByteIdentity:
         expected = _written_documents(materialized_target)
 
         source, streaming_target = make()
-        ParallelProgramExecutor(
+        ProgramExecutor(
             source, streaming_target, workers=workers,
             batch_rows=batch_rows,
         ).run(program, placement)
@@ -116,7 +117,7 @@ class TestByteIdentity:
         results = []
         for _ in range(3):
             source, target = make()
-            ParallelProgramExecutor(
+            ProgramExecutor(
                 source, target, workers=4, batch_rows=8
             ).run(program, placement)
             results.append(_written_documents(target))
@@ -143,14 +144,16 @@ class TestReport:
         cross = len(program.cross_edges(placement))
         assert streaming.shipments == cross
         assert streaming.shipments == materialized.shipments
-        # Every cross-edge shipped at least one chunk, and the chunk
-        # counts are only recorded by the streaming dataplane.
+        # Every cross-edge shipped at least one chunk; one batch per
+        # edge means exactly one message per cross-edge.
         assert set(streaming.shipment_batches) == \
             set(streaming.shipment_bytes)
         assert all(
             count >= 1 for count in streaming.shipment_batches.values()
         )
-        assert materialized.shipment_batches == {}
+        assert materialized.shipment_batches == {
+            key: 1 for key in materialized.shipment_bytes
+        }
         assert sum(streaming.shipment_bytes.values()) == \
             streaming.comm_bytes
 
@@ -237,7 +240,7 @@ class TestChannelInteraction:
             latency_seconds=0.0,
         )
         source, target = make()
-        report = ParallelProgramExecutor(
+        report = ProgramExecutor(
             source, target,
             SimulatedChannel(profile, realtime=True),
             workers=4, batch_rows=4,
@@ -257,7 +260,7 @@ class TestErrors:
         with pytest.raises(ValueError, match="batch_rows"):
             ProgramExecutor(source, target, batch_rows=0)
         with pytest.raises(ValueError, match="batch_rows"):
-            ParallelProgramExecutor(source, target, batch_rows=-1)
+            ProgramExecutor(source, target, batch_rows=-1)
 
     def test_scan_failure_propagates(self, setup):
         from repro.errors import EndpointError
@@ -273,7 +276,7 @@ class TestErrors:
         source, target = make()
         source.store.clear()
         with pytest.raises(EndpointError):
-            ParallelProgramExecutor(
+            ProgramExecutor(
                 source, target, workers=4, batch_rows=4
             ).run(program, placement)
 
@@ -328,3 +331,70 @@ class TestCombineOrphanParity:
         ] == [
             serialize(row.data.to_xml(schema)) for row in expected.rows
         ]
+
+
+def scans_at_source(program):
+    """Every Scan at the source, everything else at the target: each
+    scanned feed crosses the network on its own edge."""
+    return {
+        node.op_id: (
+            Location.SOURCE if isinstance(node, Scan)
+            else Location.TARGET
+        )
+        for node in program.nodes
+    }
+
+
+def without_mailboxes(fragmentation, auction_document):
+    """A source over ``fragmentation`` whose document has no
+    ``mailbox`` elements, so the fragment or split piece rooted at
+    ``mailbox`` carries an empty feed."""
+    document = auction_document.copy()
+    for element in document.iter_all():
+        element.children.pop("mailbox", None)
+    source = RelationalEndpoint("no-mail", fragmentation)
+    source.load_document(document)
+    return source
+
+
+class TestOneBatchPerEdge:
+    """``batch_rows=None`` ships exactly one message per cross-edge,
+    even when the feed on that edge is empty."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("direction", ["MF->LF", "LF->MF"])
+    def test_empty_feed_still_ships_one_message(
+            self, auction_mf, auction_lf, auction_document, workers,
+            direction):
+        # MF->LF ships every scan (the empty ``mailbox`` scan among
+        # them); LF->MF splits at the source and ships every piece
+        # (the empty ``mailbox`` piece among them).
+        fragmentations = {"MF": auction_mf, "LF": auction_lf}
+        source_kind, target_kind = direction.split("->")
+        source = without_mailboxes(
+            fragmentations[source_kind], auction_document
+        )
+        program = build_transfer_program(derive_mapping(
+            fragmentations[source_kind], fragmentations[target_kind]
+        ))
+        placement = (
+            scans_at_source(program) if source_kind == "MF"
+            else source_heavy_placement(program)
+        )
+        channel = SimulatedChannel()
+        report = ProgramExecutor(
+            source, RelationalEndpoint("T", fragmentations[target_kind]),
+            channel, workers=workers,
+        ).run(program, placement)
+        cross = program.cross_edges(placement)
+        assert report.shipment_batches == {
+            (edge.producer.op_id, edge.output_index): 1
+            for edge in cross
+        }
+        assert channel.messages == len(cross)
+        empty = [
+            (edge.producer.op_id, edge.output_index)
+            for edge in cross if edge.fragment.name == "mailbox"
+        ]
+        assert len(empty) == 1
+        assert report.shipment_bytes[empty[0]] == 0
